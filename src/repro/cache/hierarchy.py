@@ -180,4 +180,5 @@ class CacheHierarchy:
 
     def drop_all(self) -> None:
         """Discard every cached line (a crash: caches are volatile)."""
-        self.__init__(self.config, self.stats, obs=self._obs)
+        for level in (*self._l1, *self._l2, self._l3):
+            level.clear()

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Iterator, List, Optional
+from collections import OrderedDict, defaultdict
+from typing import Iterator, Optional
 
 from repro.common.config import CacheConfig
 from repro.common.stats import Stats
@@ -19,9 +19,11 @@ class SetAssocCache:
         self.config = config
         self.name = name
         self.stats = stats if stats is not None else Stats()
-        self._sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        # Set index -> LRU-ordered bucket, created on first index: a
+        # cell touches a few dozen of the L3's 8192 sets, so eager
+        # buckets would dominate System() and the crash drop.  Plain
+        # ``_sets[index]`` stays valid for the inlined hot paths.
+        self._sets = defaultdict(OrderedDict)
         self._num_sets = config.num_sets
         self._ways = config.ways
         self._line_shift = config.line_size.bit_length() - 1
@@ -88,8 +90,10 @@ class SetAssocCache:
     # Iteration / inspection
     # ------------------------------------------------------------------
     def iter_lines(self) -> Iterator[CacheLine]:
-        for bucket in self._sets:
-            yield from bucket.values()
+        """Resident lines in set-index order, LRU-first within a set."""
+        sets = self._sets
+        for index in sorted(sets):
+            yield from sets[index].values()
 
     def dirty_lines(self) -> Iterator[CacheLine]:
         return (line for line in self.iter_lines() if line.dirty)
@@ -98,4 +102,8 @@ class SetAssocCache:
         return base in self._set_for(base)
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._sets)
+        return sum(len(bucket) for bucket in self._sets.values())
+
+    def clear(self) -> None:
+        """Discard every line in place; references to ``_sets`` stay live."""
+        self._sets.clear()

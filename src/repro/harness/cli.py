@@ -153,6 +153,18 @@ _EXPERIMENTS = {
 }
 
 
+def _count(text: str) -> int:
+    """argparse type for counts: an integer >= 1, else a usage error
+    (exit 2) instead of a plausible-looking table of zeros."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="silo-repro",
@@ -178,21 +190,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--transactions",
-        type=int,
+        type=_count,
         default=200,
         help="transactions per thread (default 200; the paper used 10k "
         "on Gem5 — ratios stabilize far earlier in this simulator)",
     )
     parser.add_argument(
         "--cores",
-        type=int,
+        type=_count,
         nargs="+",
         default=[1, 2, 4, 8],
         help="core counts for fig11/fig12 (default: 1 2 4 8)",
     )
     parser.add_argument(
         "--crash-points",
-        type=int,
+        type=_count,
         default=20,
         help="crash points per (scheme, workload) pair for "
         "crashtest/faultsweep",
@@ -295,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--repeats",
-        type=int,
+        type=_count,
         default=bench.DEFAULT_REPEATS,
         help="bench only: wall-clock samples per cell; the best is "
         "reported, the spread recorded (default 3)",

@@ -36,7 +36,7 @@ from repro.harness.executor import (
 )
 from repro.harness.report import format_table
 from repro.litmus.oracle import LitmusVerdict, check_litmus
-from repro.litmus.patterns import Pattern, enumerate_patterns, lower_pattern
+from repro.litmus.patterns import Pattern, enumerate_patterns
 from repro.litmus.shrink import shrink_pattern
 from repro.sim.crash import CrashPlan
 
@@ -170,9 +170,10 @@ class LitmusResult:
         }
 
 
-def judge_cell(pattern: Pattern, outcome) -> LitmusVerdict:
-    """Apply the declarative oracle to one completed cell."""
-    trace = lower_pattern(pattern)
+def judge_cell(outcome) -> LitmusVerdict:
+    """Apply the declarative oracle to one completed cell, against the
+    trace the cell executed (the per-process memo already holds it)."""
+    trace = outcome.spec.workload.build()
     return check_litmus(trace, outcome.result.committed, outcome.image)
 
 
@@ -182,7 +183,7 @@ def _exhaustive_fail_point(pattern: Pattern, scheme: str) -> Optional[int]:
     re-judge predicate."""
     for at_op in range(pattern.total_ops + 1):
         outcome = execute_cell(litmus_cell(pattern, scheme, at_op))
-        if not judge_cell(pattern, outcome).ok:
+        if not judge_cell(outcome).ok:
             return at_op
     return None
 
@@ -222,7 +223,7 @@ def run(
 
     failing: Dict[Tuple[str, str], Tuple[Pattern, int, LitmusVerdict]] = {}
     for (pattern, scheme, at_op), outcome in zip(labels, outcomes):
-        verdict = judge_cell(pattern, outcome)
+        verdict = judge_cell(outcome)
         scheme_cells, scheme_bad = result.per_scheme.get(scheme, (0, 0))
         family_cells, family_bad = result.per_family.get(pattern.family, (0, 0))
         scheme_cells += 1
@@ -263,7 +264,7 @@ def run(
                 lambda candidate: _exhaustive_fail_point(candidate, scheme),
             )
             spec = litmus_cell(minimal, scheme, minimal_at)
-            final = judge_cell(minimal, execute_cell(spec))
+            final = judge_cell(execute_cell(spec))
             result.minimized.append(
                 {
                     "scheme": scheme,

@@ -1,5 +1,7 @@
 """Tests for the crashtest validation sweep."""
 
+import pytest
+
 from repro.harness import crashtest
 
 
@@ -54,3 +56,21 @@ class TestCLIIntegration:
         out = capsys.readouterr().out
         assert "atomic durability" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--cores", "0", "--smoke"],
+            ["--cores", "1", "-2"],
+            ["--crash-points", "0"],
+        ],
+    )
+    def test_cli_crashtest_rejects_non_positive_counts(self, capsys, argv):
+        from repro.harness.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["crashtest", *argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert argv[0] in captured.err
+        assert "atomic durability" not in captured.out

@@ -112,6 +112,15 @@ class TestCLI:
         assert cli_main(["fig4", "--transactions", "10"]) == 0
         assert "write size" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_cli_fig4_rejects_non_positive_transactions(self, capsys, count):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["fig4", "--transactions", count])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--transactions" in captured.err
+        assert "write size" not in captured.out
+
     def test_cli_rejects_unknown(self):
         with pytest.raises(SystemExit):
             cli_main(["nope"])

@@ -3,7 +3,12 @@
 import json
 
 from repro.harness import litmus, replay
-from repro.harness.executor import Executor, cell_spec_from_json, cell_spec_to_json
+from repro.harness.executor import (
+    Executor,
+    cell_spec_from_json,
+    cell_spec_to_json,
+    execute_cell,
+)
 from repro.litmus.oracle import LitmusVerdict
 from repro.litmus.patterns import decode_pattern
 
@@ -58,7 +63,8 @@ class TestShrinkingPipeline:
         first to the single-op pattern, and emit a replayable spec."""
         real_judge = litmus.judge_cell
 
-        def fake_judge(pattern, outcome):
+        def fake_judge(outcome):
+            pattern = decode_pattern(dict(outcome.spec.workload.kwargs)["pattern"])
             if any(
                 op == ("s", 9)
                 for thread in pattern.body
@@ -66,7 +72,7 @@ class TestShrinkingPipeline:
                 for op in tx
             ):
                 return LitmusVerdict("atomicity", "injected for testing")
-            return real_judge(pattern, outcome)
+            return real_judge(outcome)
 
         monkeypatch.setattr(litmus, "judge_cell", fake_judge)
         result = litmus.run(
@@ -91,7 +97,7 @@ class TestShrinkingPipeline:
         monkeypatch.setattr(
             litmus,
             "judge_cell",
-            lambda pattern, outcome: LitmusVerdict("durability", "injected"),
+            lambda outcome: LitmusVerdict("durability", "injected"),
         )
         result = litmus.run(
             smoke=True, max_patterns=1, schemes=("base",), shrink=True
@@ -105,7 +111,7 @@ class TestShrinkingPipeline:
         monkeypatch.setattr(
             litmus,
             "judge_cell",
-            lambda pattern, outcome: LitmusVerdict("durability", "injected"),
+            lambda outcome: LitmusVerdict("durability", "injected"),
         )
         result = litmus.run(
             smoke=True, max_patterns=1, schemes=("base",), shrink=False
@@ -116,6 +122,22 @@ class TestShrinkingPipeline:
 
 
 class TestOracleCrossCheck:
+    def test_judge_checks_the_executed_trace(self, monkeypatch):
+        """The oracle judges the very trace object the cell ran (the
+        per-process memo's), not a fresh lowering of the pattern."""
+        seen = []
+        real_check = litmus.check_litmus
+
+        def spy(trace, committed, image):
+            seen.append(trace)
+            return real_check(trace, committed, image)
+
+        monkeypatch.setattr(litmus, "check_litmus", spy)
+        spec = litmus.litmus_cell(decode_pattern("multitx/s8;s9"), "silo", 2)
+        outcome = execute_cell(spec)
+        assert litmus.judge_cell(outcome).ok
+        assert len(seen) == 1 and seen[0] is spec.workload.build()
+
     def test_disagreement_fails_the_campaign(self, monkeypatch):
         """A declarative verdict of 'ok' on a cell the exact oracle
         condemns (or vice versa) is a checker bug and must fail the

@@ -3,7 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import LogBufferConfig
+from collections import Counter
+
+from repro.cache.hierarchy import CacheHierarchy
+from repro.common.config import CacheConfig, LogBufferConfig, SystemConfig
 from repro.common.stats import Stats
 from repro.hwlog.entry import LogEntry
 from repro.hwlog.logbuffer import AppendResult, LogBuffer
@@ -134,3 +137,51 @@ class TestMediaInvariants:
         assert set(forward) == set(backward)
         for addr, (x, y) in forward.items():
             assert backward[addr] == (y, x)
+
+
+#: Two cores over 2/4/8-set, 2-way levels: a few dozen lines conflict
+#: in every set, so fills, evictions and write-backs all happen.
+_SMALL_HIERARCHY = SystemConfig(
+    cores=2,
+    l1=CacheConfig(4 * 64, 2, latency_cycles=4),
+    l2=CacheConfig(8 * 64, 2, latency_cycles=12),
+    l3=CacheConfig(16 * 64, 2, latency_cycles=28),
+)
+
+cache_ops = st.lists(
+    st.tuples(
+        st.booleans(),  # store (else load)
+        st.integers(0, 1),  # core
+        st.integers(0, 47).map(lambda line: line * 64),
+        st.integers(0, 7).map(lambda word: word * 8),
+        word_value,
+    ),
+    max_size=120,
+)
+
+
+def _replay(hierarchy, ops):
+    """Run ``ops``; return the access results and the stats delta."""
+    before = Counter(hierarchy.stats.counters)
+    results = []
+    for is_store, core, base, offset, value in ops:
+        if is_store:
+            r = hierarchy.store(core, base + offset, value)
+        else:
+            r = hierarchy.load(core, base + offset)
+        results.append((r.latency, r.hit_level, list(r.writebacks)))
+    return results, Counter(hierarchy.stats.counters) - before
+
+
+class TestCacheDropEquivalence:
+    @settings(max_examples=80, deadline=None)
+    @given(fill=cache_ops, ops=cache_ops)
+    def test_dropped_hierarchy_behaves_like_a_fresh_one(self, fill, ops):
+        """A crash drop leaves no trace: after ``drop_all`` the same
+        accesses see the same latencies, hit levels, write-backs and
+        counter increments as on a freshly built hierarchy."""
+        dropped = CacheHierarchy(_SMALL_HIERARCHY, Stats())
+        _replay(dropped, fill)
+        dropped.drop_all()
+        fresh = CacheHierarchy(_SMALL_HIERARCHY, Stats())
+        assert _replay(dropped, ops) == _replay(fresh, ops)

@@ -48,7 +48,7 @@ class TestOracleAgreementOnPatterns:
         at_op = min(int(fraction * (pattern.total_ops + 1)), pattern.total_ops)
         outcome = execute_cell(litmus_cell(pattern, scheme, at_op))
         assert outcome.ok, outcome.error
-        verdict = judge_cell(pattern, outcome)
+        verdict = judge_cell(outcome)
         assert verdict.ok == (not outcome.mismatches), (
             f"{scheme} @ {pattern.key} at_op={at_op}: litmus says "
             f"{verdict}, exact oracle found {outcome.mismatches}"

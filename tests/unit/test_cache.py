@@ -5,6 +5,7 @@ from repro.cache.line import CacheLine
 from repro.cache.set_assoc import SetAssocCache
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.stats import Stats
+from repro.sim.system import System
 
 
 class TestCacheLine:
@@ -99,6 +100,47 @@ class TestSetAssocCache:
         cache.insert(clean)
         cache.insert(dirty)
         assert [l.base for l in cache.dirty_lines()] == [0x040]
+
+
+class TestLazySets:
+    """Set buckets materialise on first touch; order and crash
+    semantics are those of the eager one-bucket-per-set layout."""
+
+    def test_fresh_system_has_no_buckets(self):
+        h = System(SystemConfig.table2(8)).hierarchy
+        for level in (*h._l1, *h._l2, h._l3):
+            assert len(level._sets) == 0, level.name
+            assert len(level) == 0
+
+    def test_iteration_is_in_set_index_order(self):
+        cache = small_cache(sets=4, ways=2)
+        # Reverse set order: sets 3, 2, 1, 0, then a second way each.
+        bases = [s * 64 for s in (3, 2, 1, 0)] + [(4 + s) * 64 for s in (3, 2, 1, 0)]
+        for base in bases:
+            line = CacheLine(base)
+            line.write_word(base, base)
+            cache.insert(line)
+        expected = [0x000, 0x100, 0x040, 0x140, 0x080, 0x180, 0x0C0, 0x1C0]
+        assert [l.base for l in cache.iter_lines()] == expected
+        assert [l.base for l in cache.dirty_lines()] == expected
+
+    def test_drop_all_clears_in_place(self):
+        h = CacheHierarchy(SystemConfig.table2(cores=2), Stats())
+        stats = h.stats
+        held = [level._sets for level in (*h._l1, *h._l2, h._l3)]
+        for core in (0, 1):
+            for i in range(64):
+                h.store(core, 0x10000 + i * 4096, i)
+        before = stats.as_dict()
+        assert any(len(level) for level in (*h._l1, *h._l2, h._l3))
+        h.drop_all()
+        assert h.stats is stats
+        assert stats.as_dict() == before
+        for ref, level in zip(held, (*h._l1, *h._l2, h._l3)):
+            assert level._sets is ref
+            assert len(ref) == 0 and len(level) == 0
+        h.store(0, 0x1000, 1)
+        assert len(held[0]) == 1  # the held reference sees new fills
 
 
 class TestHierarchy:

@@ -69,6 +69,21 @@ class TestUsageErrors:
             main(["nope"])
         assert excinfo.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig4", "--transactions", "0"],
+            ["fig11", "--cores", "1", "0"],
+            ["crashtest", "--crash-points", "-1"],
+            ["bench", "--repeats", "0"],
+            ["fig4", "--transactions", "ten"],
+        ],
+    )
+    def test_non_positive_counts_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+
     def test_exp_without_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["exp"])
