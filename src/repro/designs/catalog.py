@@ -48,6 +48,7 @@ class AGLogScheme(PolicyScheme):
         granularity=AdaptiveGranularity(threshold=3),
         fences=TWO_FENCE,
         recovery=RecoveryWalk.dcw(),
+        columnar_profile="policy",
     )
 
 
@@ -69,6 +70,7 @@ class Quadra1FScheme(PolicyScheme):
         granularity=WordGranularity(),
         fences=ONE_FENCE,
         recovery=RecoveryWalk.redo_only(),
+        columnar_profile="policy",
     )
 
 
@@ -90,6 +92,7 @@ class Trinity2FScheme(PolicyScheme):
         granularity=PageGranularity(),
         fences=TWO_FENCE,
         recovery=RecoveryWalk.redo_only(),
+        columnar_profile="policy",
     )
 
 
@@ -110,4 +113,5 @@ class RedoLog4FScheme(PolicyScheme):
         granularity=WordGranularity(),
         fences=FOUR_FENCE,
         recovery=RecoveryWalk.redo_only(),
+        columnar_profile="policy",
     )

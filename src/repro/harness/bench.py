@@ -579,8 +579,8 @@ def run_engine_comparison(
 
     if smoke and schemes is DEFAULT_SCHEMES:
         # One policy-assembled design rides along in the smoke grid so
-        # its (zero) fast_fraction and ``unfused_design`` fallback
-        # attribution stay baseline-gated next to the fused kernels.
+        # the fused policy kernel's full coverage stays baseline-gated
+        # next to the other fused kernels.
         schemes = ("base", "silo", "aglog")
     common = dict(
         core_counts=core_counts,

@@ -43,10 +43,11 @@ import ast
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.common.errors import ConfigError, ExecutionError
+from repro.designs.scheme import SchemeRegistry
 from repro.harness import (
     bench,
     catalog,
@@ -112,6 +113,7 @@ _EXPERIMENTS = {
         trace_output=args.fault_trace_output,
     ),
     "litmus": lambda args, ex: litmus.run(
+        schemes=_schemes(args.scheme or "all", litmus.LITMUS_SCHEMES),
         smoke=args.smoke,
         executor=ex,
         output=args.litmus_output,
@@ -144,13 +146,25 @@ _EXPERIMENTS = {
     "table1": lambda args, ex: table1.run(),
     "table4": lambda args, ex: table4.run(),
     "trace": lambda args, ex: tracecmd.run(
-        scheme=args.scheme,
+        scheme=args.scheme or "silo",
         workload=args.workload,
         transactions=min(args.transactions, 100),
         output=args.trace_out,
         executor=ex,
     ),
 }
+
+
+def _schemes(name: str, everything: Tuple[str, ...]) -> Tuple[str, ...]:
+    """``--scheme`` for a campaign over designs: one registered design
+    name, or ``all`` for ``everything``.  An unknown name is a
+    :class:`ConfigError` (exit 2) with the registry's did-you-mean
+    hint, never a silent run of every design."""
+    if name == "all":
+        return everything
+    if name not in SchemeRegistry.names():
+        raise SchemeRegistry.unknown_scheme_error(name)
+    return (name,)
 
 
 def _count(text: str) -> int:
@@ -341,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scheme",
-        default="silo",
-        help="trace only: design to trace, or 'all' for every "
-        "registered design (default: silo)",
+        default=None,
+        help="trace/litmus: one design, or 'all' for every registered "
+        "design (default: silo for trace, all for litmus)",
     )
     parser.add_argument(
         "--workload",
@@ -780,6 +794,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"|smoke={args.smoke}"
                 if name == "faultsweep"
                 else f"litmus|smoke={args.smoke}"
+                + ("" if args.scheme in (None, "all") else f"|scheme={args.scheme}")
             )
             try:
                 journal = _campaign_journal(args, campaign_key)

@@ -25,12 +25,14 @@ fails the gate (the fast engine would be decorative).
 
 Beyond the catalog, the gate runs dedicated **stress cells** for the
 paths smoke campaigns barely touch: an eviction-storm workload (arena
-far larger than the cache, so on-PM-buffer writeback storms dominate)
-and a finalize-heavy one (large dirty-line tails drained at end of
-run).  Those cells must be bit-identical *and* fully fused
-(``fast_fraction == 1.0``) — morlog/fwb eviction storms falling back
-to the exact path is exactly the coverage regression this gate exists
-to catch.
+far larger than its shrunken caches, so dirty L3 victims — open
+transactions' lines included — and on-PM-buffer writeback storms
+dominate), a finalize-heavy one (large dirty-line tails drained at end
+of run) and a policy-catalog one (staging spills under every
+granularity and fence schedule).  Those cells must be bit-identical
+*and* fully fused (``fast_fraction == 1.0``) — eviction storms or
+policy designs falling back to the exact path is exactly the coverage
+regression this gate exists to catch.
 
 CI entry point::
 
@@ -165,10 +167,14 @@ def check_engine_equivalence(
 
 
 #: Stress cells for the fused paths the smoke catalog barely touches:
-#: ``(label, synthetic-trace kwargs, schemes, must_fuse)``.  The
-#: eviction-heavy cell's arena (512 KiB of words) dwarfs the cache, so
-#: on-PM-buffer writeback storms dominate; the finalize-heavy cell
-#: leaves each core hundreds of dirty lines to drain at end of run.
+#: ``(label, synthetic-trace kwargs, schemes, must_fuse, caches)``,
+#: where ``caches`` is ``None`` (the Table II hierarchy) or the
+#: ``(l1, l2, l3)`` capacities in bytes.  The eviction-heavy cell's
+#: arena (512 KiB of words) dwarfs its 2/4/8 KiB caches, so dirty L3
+#: victims surface mid-transaction — including lines of open
+#: transactions, which the redo designs must drop — and on-PM-buffer
+#: writeback storms dominate; the finalize-heavy cell leaves each core
+#: hundreds of dirty lines to drain at end of run.
 #: ``must_fuse`` demands ``fast_fraction == 1.0``: these schemes have
 #: fused eviction/finalize kernels, and silently losing them is the
 #: coverage regression this gate exists to catch.
@@ -185,8 +191,19 @@ STRESS_CELLS = (
             arena_words=65536,
             seed=5,
         ),
-        ("morlog", "fwb", "silo", "swlog", "wrap"),
+        (
+            "morlog",
+            "fwb",
+            "silo",
+            "swlog",
+            "wrap",
+            "aglog",
+            "quadra1f",
+            "trinity2f",
+            "redolog4f",
+        ),
         True,
+        (2 << 10, 4 << 10, 8 << 10),
     ),
     (
         "morlog-finalize-heavy",
@@ -202,10 +219,10 @@ STRESS_CELLS = (
         ),
         ("morlog", "fwb"),
         True,
+        None,
     ),
-    # Policy-assembled catalog entries take the generic (unfused) path
-    # in the columnar engine; the cell still must be bit-identical
-    # between engines, it just is not required to fuse.
+    # Policy-assembled catalog entries: staging spills, every
+    # granularity and fence schedule, all on the fused policy kernel.
     (
         "policy-catalog",
         dict(
@@ -219,7 +236,8 @@ STRESS_CELLS = (
             seed=13,
         ),
         ("aglog", "quadra1f", "trinity2f", "redolog4f"),
-        False,
+        True,
+        None,
     ),
 )
 
@@ -227,6 +245,8 @@ STRESS_CELLS = (
 def check_stress_cells(report: EquivalenceReport) -> None:
     """Run the stress cells under both engines; append any divergence
     or lost fusion to ``report.mismatches``."""
+    from dataclasses import replace
+
     from repro.common.config import SystemConfig
     from repro.designs.scheme import SchemeRegistry
     from repro.sim.columnar import ColumnarEngine
@@ -234,17 +254,25 @@ def check_stress_cells(report: EquivalenceReport) -> None:
     from repro.sim.system import System
     from repro.trace.synthetic import SyntheticTraceConfig, synthetic_trace
 
-    for label, kwargs, schemes, must_fuse in STRESS_CELLS:
+    for label, kwargs, schemes, must_fuse, caches in STRESS_CELLS:
         trace = synthetic_trace(SyntheticTraceConfig(**kwargs))
-        cores = kwargs["threads"]
+        config = SystemConfig.table2(kwargs["threads"])
+        if caches is not None:
+            l1, l2, l3 = caches
+            config = replace(
+                config,
+                l1=replace(config.l1, size_bytes=l1),
+                l2=replace(config.l2, size_bytes=l2),
+                l3=replace(config.l3, size_bytes=l3),
+            )
         for scheme_name in schemes:
             report.stress_cells += 1
             where = f"stress {label}/{scheme_name}"
-            sys_exact = System(SystemConfig.table2(cores))
+            sys_exact = System(config)
             exact = TransactionEngine(
                 sys_exact, SchemeRegistry.create(scheme_name, sys_exact), trace
             ).run()
-            sys_col = System(SystemConfig.table2(cores))
+            sys_col = System(config)
             engine = ColumnarEngine(
                 sys_col, SchemeRegistry.create(scheme_name, sys_col), trace
             )

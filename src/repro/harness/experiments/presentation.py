@@ -220,6 +220,11 @@ def normalize_to(
     """``{workload: {scheme: metric / metric(baseline)}}``."""
     out: Dict[str, Dict[str, float]] = {}
     for workload, per_scheme in grid.results.items():
+        if baseline not in per_scheme:
+            raise ConfigError(
+                f"results are normalized to {baseline!r}: include it in "
+                f"schemes (got {', '.join(per_scheme)})"
+            )
         base_value = float(getattr(per_scheme[baseline], metric))
         out[workload] = {
             scheme: (float(getattr(result, metric)) / base_value if base_value else 0.0)

@@ -35,6 +35,34 @@ from repro.harness.executor import (
 #: One coordinate assignment, ``{axis name: value}``.
 Point = Dict[str, Any]
 
+#: Parameters that count things: an override must be a positive
+#: integer (every element, for a tuple-valued parameter).
+_COUNT_PARAMS = frozenset({"transactions", "threads", "cores", "core_counts"})
+
+
+def _coerce_override(experiment: str, name: str, default: Any, value: Any) -> Any:
+    """Shape and validate one ``--set`` override against its default.
+
+    A tuple-valued parameter given a bare value (``schemes=silo``)
+    becomes a 1-tuple instead of being iterated character by
+    character; a list becomes a tuple.  Counts must be positive
+    integers, so ``transactions=-5`` is a :class:`ConfigError` rather
+    than a table of zeros.
+    """
+    if isinstance(default, tuple) and not isinstance(value, tuple):
+        value = tuple(value) if isinstance(value, list) else (value,)
+    if name in _COUNT_PARAMS:
+        items = value if isinstance(value, tuple) else (value,)
+        if not items or any(
+            isinstance(item, bool) or not isinstance(item, int) or item < 1
+            for item in items
+        ):
+            raise ConfigError(
+                f"parameter {name!r} of experiment {experiment!r} expects "
+                f"positive integers, got {value!r}"
+            )
+    return value
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -86,7 +114,10 @@ class ExperimentSpec:
         merged = dict(self.params)
         if smoke:
             merged.update(self.smoke_params)
-        merged.update(overrides)
+        for name, value in overrides.items():
+            merged[name] = _coerce_override(
+                self.name, name, self.params[name], value
+            )
         return merged
 
 

@@ -31,11 +31,12 @@ the L1-hit probe, the MC write path (WPQ prune/admit, channel bus,
 bank heap), the on-PM buffer fast paths and the media's
 data-comparison-write run inline against the *live* simulator state.
 Cacheline eviction storms (dirty L3 victims surfacing mid-epoch) run
-through a per-scheme fused eviction kernel instead of the exact
-``on_evictions`` hook, and the morlog/fwb end-of-run ``finalize``
-data flushes run through :func:`_fused_finalize` before
-``TransactionEngine._finish`` (leaving the schemes' own finalize a
-natural no-op over already-cleared state).
+through a fused eviction kernel instead of the exact ``on_evictions``
+hook, and the morlog/fwb end-of-run ``finalize`` data flushes run
+through :func:`_fused_finalize` before ``TransactionEngine._finish``
+(leaving the schemes' own finalize a natural no-op over
+already-cleared state).  All of them submit through one shared factory
+of fused MC+PM helpers, :func:`_make_submit_kernel`.
 Counter increments are accumulated in closure integers and flushed
 once at the end of the run; every flush is value-guarded so the final
 counter key set matches the exact engine's exactly (a
@@ -48,11 +49,14 @@ Exact-engine fallback.  Three levels:
   exact engine (``delegated_reason`` records why).  Crash/fault
   windows and observability hooks are timing-sensitive rare paths
   that batching must not touch.
-* **Core fallback** — a core whose scheme is not one of the seven
-  fused designs (base, fwb, silo, morlog, lad, swlog, wrap), whose
-  silo ablation flags are non-default, or whose thread id has no
-  valid log area runs entirely through ``TransactionEngine._step``
-  (same global order, same results, no speedup).
+* **Core fallback** — a core whose scheme is not one of the eleven
+  fused designs (base, fwb, silo, morlog, lad, swlog, wrap, and the
+  spec-driven aglog, quadra1f, trinity2f, redolog4f), whose silo
+  ablation flags are non-default, or whose thread id has no valid log
+  area runs entirely through ``TransactionEngine._step`` (same global
+  order, same results, no speedup).  ``unfused_design:<name>`` is left
+  for a new policy spec without the ``policy`` columnar profile, or a
+  :class:`PolicyScheme` subclass that overrides a lifecycle hook.
 * **Op fallback** — a fused stepper returns the op to
   ``TransactionEngine._step`` unconsumed when it cannot prove the
   fast path identical (op outside a transaction, address outside the
@@ -84,6 +88,7 @@ from __future__ import annotations
 
 import gc
 from heapq import heapify, heappop, heappush, heapreplace
+from itertools import islice
 from typing import Optional
 from weakref import WeakKeyDictionary
 
@@ -93,7 +98,7 @@ from repro.core.silo import _CONTROLLER_QUEUE_CYCLES
 from repro.designs.fwb import FWB_INTERVAL_CYCLES, FWBScheme
 from repro.designs.lad import CAPTURE_LINES, PREPARE_CYCLES_PER_LINE
 from repro.designs.morlog import MORPH_BUFFER_ENTRIES, MorLogScheme
-from repro.designs.policy import PolicyScheme
+from repro.designs.policy import SPILL_BATCH, STAGING_ENTRIES, PolicyScheme
 from repro.designs.swlog import FENCE_CYCLES, LOG_BUILD_CYCLES
 from repro.hwlog.entry import LogEntry
 from repro.sim.engine import TransactionEngine
@@ -475,27 +480,14 @@ def _log_pass(pre, cpre, tid, lbase, larea):
     return _LogPre(la_col, pre2_col, cur_te, cur, media, wear, n_static, nz)
 
 
-def _make_generic_stepper(exact, idx, core):
-    """Fallback stepper: every op goes through the exact engine."""
-    n_ops = core.n_ops
-
-    def step(limit_t, limit_i):
-        return _DONE if core.pc >= n_ops else _EXACT
-
-    def flush():
-        return None
-
-    return step, flush
-
-
 def _make_wal_stepper(exact, idx, core, cpre, pre, is_fwb):
     """Fused stepper for the per-store WAL designs (base, fwb) with a
     fully static log layout.
 
     Requires the virgin-log-area precondition (see :func:`_log_pass`)
     plus a zero starting cursor; otherwise returns a fallback-reason
-    string and the core falls back to the generic stepper (rare,
-    correct, slow).
+    string and every op of the core runs through the exact engine
+    (rare, correct, slow).
     Under it the per-store hot path is pure timing arithmetic: the
     static entries' media words/wear/counters are applied in bulk at
     flush time, and the log submit does not even need the entry's
@@ -558,10 +550,7 @@ def _make_wal_stepper(exact, idx, core, cpre, pre, is_fwb):
     pm = system.pm
     onpm = pm.buffer
     onpm_lines = onpm._lines
-    onpm_get = onpm_lines.get
-    onpm_move = onpm_lines.move_to_end
     onpm_cap = onpm._capacity
-    onpm_mask = onpm._line_mask
     evict_lru = onpm._evict_lru
     media_words = pm.media._words
     media_get = media_words.get
@@ -609,57 +598,10 @@ def _make_wal_stepper(exact, idx, core, cpre, pre, is_fwb):
     a_committed = 0
     ns = 0  # fused log entries (static + dynamic)
     n_te = 0  # fused commit tuples
-    a_p_data = 0  # fused posted data write-backs (fwb eviction storms)
-    a_p_bytes = 0
-    a_p_coal = 0
-
-    def posted_data(t, wbs):
-        """Fused eviction storm: the default scheme hook posts every
-        dirty victim line as a data write (base/fwb never override
-        it).  Replicates ``submit_write(kind="data")`` without
-        write-through: the line lingers in the on-PM buffer, capacity
-        victims fall to the live ``_evict_lru``."""
-        nonlocal a_p_data, a_p_bytes, a_p_coal, a_wpq_stall
-        stall = 0
-        for _lb, words in wbs:
-            nw = len(words)
-            a_p_data += 1
-            a_p_bytes += 8 * nw
-            a0 = next(iter(words))
-            b = a0 & onpm_mask
-            pending = onpm_get(b)
-            extra = 0
-            if pending is None:
-                if len(onpm_lines) >= onpm_cap:
-                    extra = evict_lru()
-                onpm_lines[b] = dict(words)
-                if nw > 1:
-                    a_p_coal += nw - 1
-            else:
-                onpm_move(b)
-                pending.update(words)
-                a_p_coal += nw
-            while wpq_heap and wpq_heap[0] <= t:
-                heappop(wpq_heap)
-            if len(wpq_heap) < wpq_cap:
-                adm = t
-            else:
-                adm = wpq_heap[0]
-                a_wpq_stall += adm - t
-                stall += adm - t
-            busy = chfree[chan]
-            start = adm if adm > busy else busy
-            persisted = start + BUS + BEAT * nw
-            chfree[chan] = persisted
-            media_done = persisted
-            if extra:
-                for _ in range(extra):
-                    free = banks[0]
-                    begin = persisted if persisted > free else free
-                    media_done = begin + WSERV
-                    heapreplace(banks, media_done)
-            heappush(wpq_heap, media_done)
-        return stall
+    # Eviction storms (fwb; base lines are always clean) post each
+    # dirty victim through the shared kernel.
+    _, posted_submit, flush_submit = _make_submit_kernel(system, idx)
+    posted_data = _make_posted_evict(posted_submit)
 
     def step(limit_t, limit_i):
         nonlocal a_l1_hits, a_wpq_stall
@@ -920,8 +862,9 @@ def _make_wal_stepper(exact, idx, core, cpre, pre, is_fwb):
         c = counters
         if a_l1_hits:
             c[k_l1_hits] += a_l1_hits
+        flush_submit(c)
         n_log = ns + n_te
-        n_data = (0 if is_fwb else ns) + a_p_data
+        n_data = 0 if is_fwb else ns
         mcw = n_log + n_data
         if mcw:
             c["mc.writes"] += mcw
@@ -932,20 +875,17 @@ def _make_wal_stepper(exact, idx, core, cpre, pre, is_fwb):
         if n_data:
             c["mc.writes.data"] += n_data
             c["pm.requests.data"] += n_data
-            c["pm.request_bytes.data"] += 8 * (n_data - a_p_data) + a_p_bytes
+            c["pm.request_bytes.data"] += 8 * n_data
         if a_wpq_stall:
             c["mc.wpq_stall_cycles"] += a_wpq_stall
         # Every fused write-through request hits the empty/absent fast
-        # path (one buffer request, one immediate eviction); posted
-        # eviction data lines linger in the buffer, so they add a
-        # request without a line eviction (capacity victims are
-        # accounted live by the bound ``_evict_lru``).
-        onr = n_log + n_data - a_p_data
-        if onr or a_p_data:
-            c["onpm.requests"] += onr + a_p_data
+        # path (one buffer request, one immediate eviction; capacity
+        # victims are accounted live by the bound ``_evict_lru``).
+        onr = n_log + n_data
         if onr:
+            c["onpm.requests"] += onr
             c["onpm.line_evictions"] += onr
-        coal = 3 * ns + n_te + a_p_coal
+        coal = 3 * ns + n_te
         if coal:
             c["onpm.coalesced_words"] += coal
         med_l = a_med_lines + lp.n_static
@@ -1005,12 +945,272 @@ def _make_stepper(exact, idx, core, cpre, pre):
     elif profile == "wrap":
         sk = 6
     elif isinstance(scheme, PolicyScheme):
-        # Spec-driven designs have no fused kernel yet; attribute the
-        # fallback to the catalog entry, not the shared class.
+        if profile == "policy" and all(
+            getattr(stype, hook) is getattr(PolicyScheme, hook)
+            for hook in _POLICY_HOOKS
+        ):
+            return _make_policy_stepper(exact, idx, core, cpre)
+        # A new spec without the policy profile, or a subclass that
+        # overrides a lifecycle hook: attribute the fallback to the
+        # catalog entry, not the shared class.
         return "unfused_design:" + scheme.name
     else:
         return "unfused_scheme:" + stype.__name__
     return _make_buffered_stepper(exact, idx, core, cpre, sk)
+
+
+def _make_submit_kernel(system, idx):
+    """Fused MC+PM submit helpers for core ``idx``, shared by every
+    fused stepper and the fused finalize.
+
+    Returns ``(wt_submit, posted_submit, flush)``.  Both submit helpers
+    return an ``(admission_stall, completion)`` pair and accumulate the
+    ``mc.*``/``pm.*``/``onpm.*``/``media.*`` counters they imply in
+    closure integers; ``flush(counters)`` adds them once, value-guarded.
+
+    A write-through request covers words of one 64-byte media sector
+    (log entries are serialized on aligned cursors with <=52-byte
+    spans, commit tuples are 16 bytes, cacheline flushes stay inside
+    their line) or, when longer than eight words, of one on-PM buffer
+    line (the policy designs' long run records).  A posted request
+    covers words of one on-PM buffer line (data lines, silo's batched
+    overflow request).  Either way it touches exactly one on-PM buffer
+    line.
+    """
+    mc = system.mc
+    chan = idx % mc.channels
+    wpq_heap = mc._wpq_heaps[chan]
+    wpq_cap = mc._wpq_capacity
+    chfree = mc._channel_free
+    banks = mc._bank_free[chan]
+    BUS = mc._bus_overhead
+    BEAT = mc._bus_beat
+    WSERV = mc._write_service
+    submit_write = mc.submit_write
+
+    pm = system.pm
+    onpm = pm.buffer
+    onpm_lines = onpm._lines
+    onpm_get = onpm_lines.get
+    onpm_move = onpm_lines.move_to_end
+    onpm_pop = onpm_lines.popitem
+    onpm_cap = onpm._capacity
+    onpm_mask = onpm._line_mask
+    media_words = pm.media._words
+    media_get = media_words.get
+    wear = pm.media._sector_wear
+    wear_get = wear.get
+
+    # Every fused request is one MC write and one on-PM buffer request;
+    # every write-through request and every victim is one line eviction
+    # and (unless fully redundant) one media line write.
+    a_mc_log = 0
+    a_mc_data = 0
+    a_posted = 0
+    a_words_log = 0
+    a_words_data = 0
+    a_wpq_stall = 0
+    a_onpm_coal = 0
+    a_victims = 0
+    a_med_lines = 0
+    a_med_extra_secs = 0
+    a_med_words = 0
+    a_med_redund = 0
+
+    def write_line(pending):
+        """``PMMedia.write_line`` fused: apply one on-PM buffer line's
+        words to the media with data-comparison-write.  Returns the
+        sector count (a 256-byte line can span up to four 64-byte media
+        sectors)."""
+        nonlocal a_med_lines, a_med_extra_secs, a_med_words, a_med_redund
+        changed = 0
+        secs = set()
+        secs_add = secs.add
+        for wa, wv in pending.items():
+            if media_get(wa, 0) != wv:
+                media_words[wa] = wv
+                changed += 1
+                secs_add(wa >> 6)
+        if changed:
+            a_med_lines += 1
+            a_med_words += changed
+            nsec = len(secs)
+            a_med_extra_secs += nsec - 1
+            for sector in secs:
+                wear[sector] = wear_get(sector, 0) + 1
+            return nsec
+        a_med_redund += 1
+        return 0
+
+    def evict1():
+        """Fused LRU victim eviction of the oldest on-PM buffer line."""
+        nonlocal a_victims
+        a_victims += 1
+        return write_line(onpm_pop(last=False)[1])
+
+    def wt_submit(t, words, is_log=True):
+        """Write-through submit.  Returns ``(admission_stall,
+        media_done)``.  When the target on-PM buffer line is resident
+        the request must coalesce with buffered words, so it re-runs
+        through the bound ``submit_write`` (which accounts everything
+        live and returns a ticket with the same two leading fields)."""
+        nonlocal a_mc_log, a_mc_data, a_words_log, a_words_data
+        nonlocal a_onpm_coal, a_med_lines, a_med_words, a_med_redund
+        nonlocal a_wpq_stall
+        a0 = next(iter(words))
+        extra = 0
+        if onpm_lines:
+            if (a0 & onpm_mask) in onpm_lines:
+                return submit_write(
+                    t, words, kind="log" if is_log else "data",
+                    write_through=True, channel=idx,
+                )
+            if len(onpm_lines) >= onpm_cap:
+                extra = evict1()
+        nw = len(words)
+        if is_log:
+            a_mc_log += 1
+            a_words_log += nw
+        else:
+            a_mc_data += 1
+            a_words_data += nw
+        a_onpm_coal += nw - 1
+        if nw > 8:
+            sectors = extra + write_line(words)
+        else:
+            changed = 0
+            for wa, wv in words.items():
+                if media_get(wa, 0) != wv:
+                    media_words[wa] = wv
+                    changed += 1
+            if changed:
+                a_med_lines += 1
+                a_med_words += changed
+                sector = a0 >> 6
+                wear[sector] = wear_get(sector, 0) + 1
+                sectors = extra + 1
+            else:
+                a_med_redund += 1
+                sectors = extra
+        while wpq_heap and wpq_heap[0] <= t:
+            heappop(wpq_heap)
+        adm = t if len(wpq_heap) < wpq_cap else wpq_heap[0]
+        if adm > t:
+            a_wpq_stall += adm - t
+        busy = chfree[chan]
+        start = adm if adm > busy else busy
+        persisted = start + BUS + BEAT * nw
+        chfree[chan] = persisted
+        if sectors == 1:
+            free = banks[0]
+            media_done = (persisted if persisted > free else free) + WSERV
+            heapreplace(banks, media_done)
+        else:
+            media_done = persisted
+            for _ in range(sectors):
+                free = banks[0]
+                begin = persisted if persisted > free else free
+                media_done = begin + WSERV
+                heapreplace(banks, media_done)
+        heappush(wpq_heap, media_done)
+        return adm - t, media_done
+
+    def posted_submit(t, words, is_log=False):
+        """Posted submit (no write-through): the line lingers in the
+        on-PM buffer for coalescing.  Returns
+        ``(admission_stall, persisted)``."""
+        nonlocal a_mc_log, a_mc_data, a_words_log, a_words_data
+        nonlocal a_posted, a_onpm_coal, a_wpq_stall
+        nw = len(words)
+        if is_log:
+            a_mc_log += 1
+            a_words_log += nw
+        else:
+            a_mc_data += 1
+            a_words_data += nw
+        a_posted += 1
+        a0 = next(iter(words))
+        b = a0 & onpm_mask
+        pending = onpm_get(b)
+        extra = 0
+        if pending is None:
+            if len(onpm_lines) >= onpm_cap:
+                extra = evict1()
+            onpm_lines[b] = dict(words)
+            a_onpm_coal += nw - 1
+        else:
+            onpm_move(b)
+            pending.update(words)
+            a_onpm_coal += nw
+        while wpq_heap and wpq_heap[0] <= t:
+            heappop(wpq_heap)
+        adm = t if len(wpq_heap) < wpq_cap else wpq_heap[0]
+        if adm > t:
+            a_wpq_stall += adm - t
+        busy = chfree[chan]
+        start = adm if adm > busy else busy
+        persisted = start + BUS + BEAT * nw
+        chfree[chan] = persisted
+        media_done = persisted
+        if extra:
+            for _ in range(extra):
+                free = banks[0]
+                begin = persisted if persisted > free else free
+                media_done = begin + WSERV
+                heapreplace(banks, media_done)
+        heappush(wpq_heap, media_done)
+        return adm - t, persisted
+
+    def flush(c):
+        requests = a_mc_log + a_mc_data
+        if requests:
+            c["mc.writes"] += requests
+            c["onpm.requests"] += requests
+        if a_mc_log:
+            c["mc.writes.log"] += a_mc_log
+            c["pm.requests.log"] += a_mc_log
+            c["pm.request_bytes.log"] += 8 * a_words_log
+        if a_mc_data:
+            c["mc.writes.data"] += a_mc_data
+            c["pm.requests.data"] += a_mc_data
+            c["pm.request_bytes.data"] += 8 * a_words_data
+        if a_wpq_stall:
+            c["mc.wpq_stall_cycles"] += a_wpq_stall
+        if a_onpm_coal:
+            c["onpm.coalesced_words"] += a_onpm_coal
+        evictions = requests - a_posted + a_victims
+        if evictions:
+            c["onpm.line_evictions"] += evictions
+        if a_med_lines:
+            c["media.line_writes"] += a_med_lines
+            c["media.sector_writes"] += a_med_lines + a_med_extra_secs
+            c["media.word_writes"] += a_med_words
+        if a_med_redund:
+            c["media.redundant_line_writes"] += a_med_redund
+
+    return wt_submit, posted_submit, flush
+
+
+def _make_posted_evict(posted_submit, in_tx=(), lines=()):
+    """Fused ``on_evictions``: post every dirty victim line as a data
+    write (the default scheme hook).  The redo designs that keep
+    uncommitted data out of PM (wrap and the policy designs) pass
+    their open-transaction state: victims of lines written by an open
+    transaction (``lines[c]`` while ``in_tx[c]``) are dropped."""
+
+    def fused_evict(t, wbs):
+        unc = set()
+        for c, open_tx in enumerate(in_tx):
+            if open_tx:
+                unc |= lines[c]
+        stall = 0
+        for lb, words in wbs:
+            if lb in unc:
+                continue
+            stall += posted_submit(t, words)[0]
+        return stall
+
+    return fused_evict
 
 
 def _make_buffered_stepper(exact, idx, core, cpre, sk):
@@ -1050,30 +1250,9 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
     # ------------------------------------------------------------------
     # Hoisted live state (shared with the exact engine and all designs)
     # ------------------------------------------------------------------
-    mc = system.mc
-    chan = idx % mc.channels
-    wpq_heap = mc._wpq_heaps[chan]
-    wpq_cap = mc._wpq_capacity
-    chfree = mc._channel_free
-    banks = mc._bank_free[chan]
-    BUS = mc._bus_overhead
-    BEAT = mc._bus_beat
-    WSERV = mc._write_service
-    submit_write = mc.submit_write  # bound fallback for bail-out cases
-    submit_read = mc.submit_read
-
-    pm = system.pm
-    onpm = pm.buffer
-    onpm_lines = onpm._lines
-    onpm_get = onpm_lines.get
-    onpm_move = onpm_lines.move_to_end
-    onpm_pop = onpm_lines.popitem
-    onpm_cap = onpm._capacity
-    onpm_mask = onpm._line_mask
-    media_words = pm.media._words
-    media_get = media_words.get
-    wear = pm.media._sector_wear
-    wear_get = wear.get
+    wt_submit, posted_submit, flush_submit = _make_submit_kernel(system, idx)
+    submit_read = system.mc.submit_read
+    media_get = system.pm.media._words.get
 
     hier = system.hierarchy
     l1 = hier._l1[idx]
@@ -1172,20 +1351,6 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
     # Counter accumulators (flushed once, value-guarded)
     # ------------------------------------------------------------------
     a_l1_hits = 0
-    a_mc_log = 0
-    a_mc_data = 0
-    a_wpq_stall = 0
-    a_pmreq_log = 0
-    a_pmbytes_log = 0
-    a_pmreq_data = 0
-    a_pmbytes_data = 0
-    a_onpm_req = 0
-    a_onpm_coal = 0
-    a_onpm_evict = 0
-    a_med_lines = 0
-    a_med_secs = 0
-    a_med_words = 0
-    a_med_redund = 0
     a_committed = 0
     a_reg_req = 0
     a_reg_ur = 0
@@ -1209,150 +1374,6 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
     # wrap
     a_reg_redo = 0
     a_wrap_reads = 0
-
-    # ------------------------------------------------------------------
-    # Fused MC+PM submit helpers.  Every fused request covers words of
-    # one 64-byte-aligned, <=64-byte window (log entries are serialized
-    # on aligned cursors with <=52-byte spans, commit tuples are 16
-    # bytes, cacheline flushes stay inside their line), so it touches
-    # exactly one on-PM buffer line and one media sector.
-    # ------------------------------------------------------------------
-    def evict1():
-        """Fused LRU victim eviction: pop the oldest on-PM buffer line
-        and apply its words to the media with data-comparison-write.
-        Returns the sector count (an evicted 256-byte line can span up
-        to four 64-byte media sectors)."""
-        nonlocal a_onpm_evict, a_med_lines, a_med_secs
-        nonlocal a_med_words, a_med_redund
-        pending = onpm_pop(last=False)[1]
-        a_onpm_evict += 1
-        changed = 0
-        secs = set()
-        secs_add = secs.add
-        for wa, wv in pending.items():
-            if media_get(wa, 0) != wv:
-                media_words[wa] = wv
-                changed += 1
-                secs_add(wa >> 6)
-        if changed:
-            a_med_lines += 1
-            a_med_words += changed
-            nsec = len(secs)
-            a_med_secs += nsec
-            for sector in secs:
-                wear[sector] = wear_get(sector, 0) + 1
-            return nsec
-        a_med_redund += 1
-        return 0
-
-    def wt_submit(t, words):
-        """Write-through submit (kind-agnostic).  Returns
-        ``(admission_stall, media_done)`` or ``None`` when the target
-        on-PM buffer line is resident (the request must coalesce with
-        buffered words — the caller re-runs it through the bound
-        ``submit_write``, which accounts everything live)."""
-        nonlocal a_onpm_req, a_onpm_coal, a_onpm_evict
-        nonlocal a_med_lines, a_med_secs, a_med_words
-        nonlocal a_med_redund, a_wpq_stall
-        a0 = next(iter(words))
-        extra = 0
-        if onpm_lines:
-            if (a0 & onpm_mask) in onpm_lines:
-                return None
-            if len(onpm_lines) >= onpm_cap:
-                extra = evict1()
-        a_onpm_req += 1
-        nw = len(words)
-        if nw > 1:
-            a_onpm_coal += nw - 1
-        a_onpm_evict += 1
-        changed = 0
-        for wa, wv in words.items():
-            if media_get(wa, 0) != wv:
-                media_words[wa] = wv
-                changed += 1
-        if changed:
-            a_med_lines += 1
-            a_med_secs += 1
-            a_med_words += changed
-            sector = a0 >> 6
-            wear[sector] = wear_get(sector, 0) + 1
-            sectors = extra + 1
-        else:
-            a_med_redund += 1
-            sectors = extra
-        while wpq_heap and wpq_heap[0] <= t:
-            heappop(wpq_heap)
-        adm = t if len(wpq_heap) < wpq_cap else wpq_heap[0]
-        if adm > t:
-            a_wpq_stall += adm - t
-        busy = chfree[chan]
-        start = adm if adm > busy else busy
-        persisted = start + BUS + BEAT * nw
-        chfree[chan] = persisted
-        media_done = persisted
-        if sectors:
-            for _ in range(sectors):
-                free = banks[0]
-                begin = persisted if persisted > free else free
-                media_done = begin + WSERV
-                heapreplace(banks, media_done)
-        heappush(wpq_heap, media_done)
-        return adm - t, media_done
-
-    def posted_submit(t, words, is_log=False):
-        """Posted submit (no write-through): the line lingers in the
-        on-PM buffer for coalescing.  Returns
-        ``(admission_stall, persisted)``.  Used for data write-backs
-        and for silo's batched overflow log request (whose words all
-        land on one 256-byte on-PM buffer line by construction)."""
-        nonlocal a_mc_data, a_pmreq_data, a_pmbytes_data
-        nonlocal a_mc_log, a_pmreq_log, a_pmbytes_log
-        nonlocal a_onpm_req, a_onpm_coal, a_wpq_stall
-        nw = len(words)
-        if is_log:
-            a_pmreq_log += 1
-            a_pmbytes_log += 8 * nw
-        else:
-            a_pmreq_data += 1
-            a_pmbytes_data += 8 * nw
-        a_onpm_req += 1
-        a0 = next(iter(words))
-        b = a0 & onpm_mask
-        pending = onpm_get(b)
-        extra = 0
-        if pending is None:
-            if len(onpm_lines) >= onpm_cap:
-                extra = evict1()
-            onpm_lines[b] = dict(words)
-            if nw > 1:
-                a_onpm_coal += nw - 1
-        else:
-            onpm_move(b)
-            pending.update(words)
-            a_onpm_coal += nw
-        if is_log:
-            a_mc_log += 1
-        else:
-            a_mc_data += 1
-        while wpq_heap and wpq_heap[0] <= t:
-            heappop(wpq_heap)
-        adm = t if len(wpq_heap) < wpq_cap else wpq_heap[0]
-        if adm > t:
-            a_wpq_stall += adm - t
-        busy = chfree[chan]
-        start = adm if adm > busy else busy
-        persisted = start + BUS + BEAT * nw
-        chfree[chan] = persisted
-        media_done = persisted
-        if extra:
-            for _ in range(extra):
-                free = banks[0]
-                begin = persisted if persisted > free else free
-                media_done = begin + WSERV
-                heapreplace(banks, media_done)
-        heappush(wpq_heap, media_done)
-        return adm - t, persisted
 
     # ------------------------------------------------------------------
     # Fused eviction kernel.  Dirty L3 victims surfacing mid-epoch run
@@ -1424,36 +1445,19 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
     elif sk == 6:
         # WrAP drops victims of lines belonging to open transactions
         # (the redo log is the durable copy).
-        def fused_evict(t, wbs):
-            unc = set()
-            for c2 in range(len(wr_in_tx)):
-                if wr_in_tx[c2]:
-                    unc |= wr_uncommitted[c2]
-            stall = 0
-            for lb, words in wbs:
-                if lb in unc:
-                    continue
-                r = posted_submit(t, words)
-                stall += r[0]
-            return stall
+        fused_evict = _make_posted_evict(
+            posted_submit, wr_in_tx, wr_uncommitted
+        )
 
     else:
-        # swlog: the default LoggingScheme hook, a plain posted write
-        # per victim line.
-        def fused_evict(t, wbs):
-            stall = 0
-            for _lb, words in wbs:
-                r = posted_submit(t, words)
-                stall += r[0]
-            return stall
+        # swlog: the default LoggingScheme hook.
+        fused_evict = _make_posted_evict(posted_submit)
 
     # ------------------------------------------------------------------
     # The fused stepper
     # ------------------------------------------------------------------
     def step(limit_t, limit_i):
-        nonlocal a_l1_hits, a_mc_log, a_mc_data
-        nonlocal a_pmreq_log, a_pmbytes_log
-        nonlocal a_pmreq_data, a_pmbytes_data
+        nonlocal a_l1_hits
         nonlocal a_committed, a_reg_req, a_reg_ur, a_reg_undo, logged_any
         nonlocal a_seen, a_ignored, a_entries, a_merged, a_appended
         nonlocal a_peak, a_flushdisc, a_inplace, a_ncommits
@@ -1669,20 +1673,8 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
                                 a_reg_ur += 2
                                 logged_any = True
                                 r = wt_submit(now, words)
-                                if r is None:
-                                    tkt = submit_write(
-                                        now, words, kind="log",
-                                        write_through=True,
-                                        channel=idx,
-                                    )
-                                    cost += tkt[0]
-                                    fdone = tkt[1]
-                                else:
-                                    a_mc_log += 1
-                                    a_pmreq_log += 1
-                                    a_pmbytes_log += 8 * len(words)
-                                    cost += r[0]
-                                    fdone = r[1]
+                                cost += r[0]
+                                fdone = r[1]
                                 for e2 in (e0, e1):
                                     ln = e2.addr & -64
                                     if fdone > mlr_get(ln, 0):
@@ -1743,17 +1735,7 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
                             a_reg_undo += 1
                             logged_any = True
                             r = wt_submit(now, words)
-                            if r is None:
-                                tkt = submit_write(
-                                    now, words, kind="log",
-                                    write_through=True, channel=idx,
-                                )
-                                cost += tkt[0] + (tkt[1] - now)
-                            else:
-                                a_mc_log += 1
-                                a_pmreq_log += 1
-                                a_pmbytes_log += 24
-                                cost += r[0] + (r[1] - now)
+                            cost += r[0] + (r[1] - now)
                     elif sk == 5:  # swlog
                         # Build the entry (inline CPU work), persist
                         # one 26-byte undo+redo record (span-64
@@ -1786,33 +1768,12 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
                         logged_any = True
                         t2 = now + stall
                         r = wt_submit(t2, words)
-                        if r is None:
-                            tkt = submit_write(
-                                t2, words, kind="log",
-                                write_through=True, channel=idx,
-                            )
-                            stall += tkt[0] + (tkt[1] - t2)
-                        else:
-                            a_mc_log += 1
-                            a_pmreq_log += 1
-                            a_pmbytes_log += 32
-                            stall += r[0] + (r[1] - t2)
-                        stall += FENCE_CYCLES
+                        stall += r[0] + (r[1] - t2) + FENCE_CYCLES
                         lw = writeback_line(idx, base)
                         if lw:
                             t2 = now + stall
-                            r = wt_submit(t2, lw)
-                            if r is None:
-                                tkt = submit_write(
-                                    t2, lw, kind="data",
-                                    write_through=True, channel=idx,
-                                )
-                                stall += tkt[0] + (tkt[1] - t2)
-                            else:
-                                a_mc_data += 1
-                                a_pmreq_data += 1
-                                a_pmbytes_data += 8 * len(lw)
-                                stall += r[0] + (r[1] - t2)
+                            r = wt_submit(t2, lw, False)
+                            stall += r[0] + (r[1] - t2)
                         stall += FENCE_CYCLES
                         t2 = now + stall
                         if t2 > sw_data_done[idx]:
@@ -1846,19 +1807,8 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
                         a_reg_redo += 1
                         logged_any = True
                         r = wt_submit(now, words)
-                        if r is None:
-                            tkt = submit_write(
-                                now, words, kind="log",
-                                write_through=True, channel=idx,
-                            )
-                            cost += tkt[0]
-                            pd = tkt[1]
-                        else:
-                            a_mc_log += 1
-                            a_pmreq_log += 1
-                            a_pmbytes_log += 24
-                            cost += r[0]
-                            pd = r[1]
+                        cost += r[0]
+                        pd = r[1]
                         if pd > wr_log_done[idx]:
                             wr_log_done[idx] = pd
                         e = new_entry(LogEntry)
@@ -2002,19 +1952,8 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
                                     cursor += 26
                                     region._seq += 1
                                 r = wt_submit(now, words)
-                                if r is None:
-                                    tkt = submit_write(
-                                        now, words, kind="log",
-                                        write_through=True, channel=idx,
-                                    )
-                                    flush_stall += tkt[0]
-                                    pd = tkt[1]
-                                else:
-                                    a_mc_log += 1
-                                    a_pmreq_log += 1
-                                    a_pmbytes_log += 8 * len(words)
-                                    flush_stall += r[0]
-                                    pd = r[1]
+                                flush_stall += r[0]
+                                pd = r[1]
                                 if pd > done:
                                     done = pd
                                 i2 += 2
@@ -2033,17 +1972,7 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
                         words = persist_commit_tuple(tid, txid)
                         t2 = now + stall
                         r = wt_submit(t2, words)
-                        if r is None:
-                            tkt = submit_write(
-                                t2, words, kind="log",
-                                write_through=True, channel=idx,
-                            )
-                            stall += tkt[0] + (tkt[1] - t2)
-                        else:
-                            a_mc_log += 1
-                            a_pmreq_log += 1
-                            a_pmbytes_log += 16
-                            stall += r[0] + (r[1] - t2)
+                        stall += r[0] + (r[1] - t2)
                         await_truncate.append((tid, txid))
                         cost += stall
                     elif sk == 4:  # lad
@@ -2084,17 +2013,7 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
                         words = persist_commit_tuple(tid, txid)
                         t2 = now + stall
                         r = wt_submit(t2, words)
-                        if r is None:
-                            tkt = submit_write(
-                                t2, words, kind="log",
-                                write_through=True, channel=idx,
-                            )
-                            stall += tkt[0] + (tkt[1] - t2)
-                        else:
-                            a_mc_log += 1
-                            a_pmreq_log += 1
-                            a_pmbytes_log += 16
-                            stall += r[0] + (r[1] - t2)
+                        stall += r[0] + (r[1] - t2)
                         stall += FENCE_CYCLES
                         sw_data_done[idx] = 0
                         # discard_tx: no records on the fused path
@@ -2110,17 +2029,7 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
                         words = persist_commit_tuple(tid, txid)
                         t2 = now + stall
                         r = wt_submit(t2, words)
-                        if r is None:
-                            tkt = submit_write(
-                                t2, words, kind="log",
-                                write_through=True, channel=idx,
-                            )
-                            stall += tkt[0] + (tkt[1] - t2)
-                        else:
-                            a_mc_log += 1
-                            a_pmreq_log += 1
-                            a_pmbytes_log += 16
-                            stall += r[0] + (r[1] - t2)
+                        stall += r[0] + (r[1] - t2)
                         t3 = now + stall
                         for e in wr_entries:
                             submit_read(t3, e.log_addr, channel=idx)
@@ -2159,33 +2068,7 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
         c = counters
         if a_l1_hits:
             c[k_l1_hits] += a_l1_hits
-        mcw = a_mc_log + a_mc_data
-        if mcw:
-            c["mc.writes"] += mcw
-        if a_mc_log:
-            c["mc.writes.log"] += a_mc_log
-        if a_mc_data:
-            c["mc.writes.data"] += a_mc_data
-        if a_wpq_stall:
-            c["mc.wpq_stall_cycles"] += a_wpq_stall
-        if a_pmreq_log:
-            c["pm.requests.log"] += a_pmreq_log
-            c["pm.request_bytes.log"] += a_pmbytes_log
-        if a_pmreq_data:
-            c["pm.requests.data"] += a_pmreq_data
-            c["pm.request_bytes.data"] += a_pmbytes_data
-        if a_onpm_req:
-            c["onpm.requests"] += a_onpm_req
-        if a_onpm_coal:
-            c["onpm.coalesced_words"] += a_onpm_coal
-        if a_onpm_evict:
-            c["onpm.line_evictions"] += a_onpm_evict
-        if a_med_lines:
-            c["media.line_writes"] += a_med_lines
-            c["media.sector_writes"] += a_med_secs
-            c["media.word_writes"] += a_med_words
-        if a_med_redund:
-            c["media.redundant_line_writes"] += a_med_redund
+        flush_submit(c)
         if a_committed:
             c["engine.committed"] += a_committed
         if a_reg_req:
@@ -2239,6 +2122,412 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
     return step, flush
 
 
+#: The :class:`PolicyScheme` hooks the fused policy kernel replicates; a
+#: subclass overriding any of them has unknown hot-path behaviour.
+_POLICY_HOOKS = (
+    "on_tx_begin",
+    "on_store",
+    "_spill",
+    "_flush_entries",
+    "on_evictions",
+    "on_tx_end",
+)
+
+
+def _make_policy_stepper(exact, idx, core, cpre):
+    """Fused stepper for the spec-driven :class:`PolicyScheme` designs
+    (aglog, quadra1f, trinity2f, redolog4f), parameterized by the
+    spec's granularity policy and fence schedule.
+
+    The staging dict, ``_tx_new``, ``_tx_lines``, ``_in_tx`` and
+    ``_tx_log_done`` stay live, so exact-engine per-op fallbacks and
+    other cores' eviction hooks see the exact engine's state.  Flushes
+    call ``spec.granularity.pack`` once and serialize the chunks inline
+    with the region's arithmetic (cursor, sequence and counters; no
+    recovery records, as for the other fused designs); the requests and
+    the commit's fence schedule run through the shared submit kernel
+    with the arithmetic of :meth:`PolicyScheme.on_tx_end`.
+    """
+    scheme = exact.scheme
+    system = exact.system
+    tid = core.tid
+    region = system.region
+    try:
+        lbase, larea = region.layout.thread_log_area(tid)
+    except AddressError:
+        return "no_log_area"
+    if not 0 <= tid < 256:
+        return "oversized_tid"
+    if larea % 64 or scheme._line_mask != -64 or system.pm.buffer._line_size % 64:
+        # Fused requests must start on a sector of the log area, and
+        # in-place groups must fit one 64-byte media sector, which must
+        # fit one on-PM buffer line.
+        return "log_layout"
+
+    kinds = cpre.kinds
+    addrs = cpre.addrs
+    vals = cpre.vals
+    olds = cpre.olds
+    n_ops = core.n_ops
+
+    spec = scheme.spec
+    pack = spec.granularity.pack
+    sched = spec.fences
+    WAIT_LOG = sched.wait_log_persist
+    INPLACE_FENCE = sched.inplace_fence
+    TRUNCATE_FENCE = sched.truncate_fence
+    FENCE = sched.fence_cycles
+
+    staged = scheme._staged[idx]
+    staged_get = staged.get
+    staged_pop = staged.pop
+    tx_new_all = scheme._tx_new
+    tx_lines = scheme._tx_lines[idx]
+    tx_lines_add = tx_lines.add
+    tld = scheme._tx_log_done
+    in_tx_all = scheme._in_tx
+
+    wt_submit, posted_submit, flush_submit = _make_submit_kernel(system, idx)
+    submit_write = system.mc.submit_write
+    onpm_mask = system.pm.buffer._line_mask
+    fused_evict = _make_posted_evict(
+        posted_submit, in_tx_all, scheme._tx_lines
+    )
+    media_get = system.pm.media._words.get
+
+    hier = system.hierarchy
+    l1 = hier._l1[idx]
+    l1_sets = l1._sets
+    l1_shift = l1._line_shift
+    l1_nsets = l1._num_sets
+    k_l1_hits = l1._k_hits
+    LAT_L1 = hier._lat_l1
+    line_mask = hier._line_mask
+    hier_store = exact._hier_store
+    hier_load = exact._hier_load
+    read_contention = exact._read_contention
+
+    rcur = region._cursor
+    rcur_get = rcur.get
+    records = region._records
+    persist_commit_tuple = region.persist_commit_tuple
+    discard_tx = region.discard_tx
+
+    counters = system.stats.counters
+    current = exact._current
+    current_get = current.get
+    committed_add = exact._committed.add
+    OPOV = exact._op_overhead
+    M = WORD_MASK
+    K1 = _K1
+    K2 = _K2
+    CAP = STAGING_ENTRIES
+    BATCH = SPILL_BATCH
+    entry_cls = LogEntry
+    new_entry = LogEntry.__new__
+
+    a_l1_hits = 0
+    a_committed = 0
+    a_staged = 0
+    a_spills = 0
+    a_inplace = 0
+    a_reg_req = 0
+    a_reg_redo = 0
+    a_run_records = 0
+    a_run_words = 0
+    logged_any = False
+
+    def flush_entries(entries, t):
+        """``PolicyScheme._flush_entries`` fused: pack once, serialize
+        each chunk as ``persist_run`` / ``persist_entries`` (two redo
+        entries per 64-byte request) would, write every request
+        through.  Returns ``(admission_stall, persist_completion)``."""
+        nonlocal a_reg_req, a_reg_redo, a_run_records, a_run_words
+        nonlocal logged_any
+        logged_any = True
+        stall = 0
+        done = t
+        cursor = rcur_get(tid, 0)
+        for mode, chunk in pack(entries, counters):
+            n = len(chunk)
+            a_reg_redo += n
+            if mode == "run":
+                rem = cursor & 63
+                if rem:
+                    cursor += 64 - rem
+                lo = cursor % larea
+                la = lbase + lo
+                e = chunk[0]
+                words = {
+                    la: (
+                        (
+                            (e.tid << 56)
+                            ^ (e.txid << 40)
+                            ^ (e.addr & -64)
+                            ^ (n * K1)
+                        )
+                        | 1
+                    ) & M
+                }
+                off = 8
+                for e in chunk:
+                    words[lbase + ((cursor + off) % larea)] = (
+                        (
+                            (e.tid << 56)
+                            ^ (e.txid << 40)
+                            ^ e.addr
+                            ^ (e.old * K1)
+                            ^ (e.new * K2)
+                        )
+                        | 1
+                    ) & M
+                    off += 8
+                cursor += off
+                a_reg_req += 1
+                a_run_records += 1
+                a_run_words += n
+                if n < 8 or (
+                    lo + 8 * n < larea
+                    and (la & onpm_mask) == ((la + 8 * n) & onpm_mask)
+                ):
+                    # One sector, or several inside one on-PM buffer
+                    # line with no wrap of the log area.
+                    r = wt_submit(t, words)
+                else:
+                    r = submit_write(
+                        t, words, kind="log", write_through=True, channel=idx
+                    )
+                stall += r[0]
+                if r[1] > done:
+                    done = r[1]
+                continue
+            i = 0
+            while i < n:
+                rem = cursor & 63
+                if rem:
+                    cursor += 64 - rem
+                la = lbase + (cursor % larea)
+                e = chunk[i]
+                p = (
+                    (e.tid << 56)
+                    ^ (e.txid << 40)
+                    ^ e.addr
+                    ^ (e.old * K1)
+                    ^ (e.new * K2)
+                ) | 1
+                words = {la: p & M, la + 8: (p + 1) & M, la + 16: (p + 2) & M}
+                cursor += 18
+                if i + 1 < n:
+                    # The second entry starts mid-word at la + 18.
+                    e = chunk[i + 1]
+                    p = (
+                        (e.tid << 56)
+                        ^ (e.txid << 40)
+                        ^ e.addr
+                        ^ (e.old * K1)
+                        ^ (e.new * K2)
+                    ) | 1
+                    words[la + 16] = p & M
+                    words[la + 24] = (p + 1) & M
+                    words[la + 32] = (p + 2) & M
+                    cursor += 18
+                i += 2
+                a_reg_req += 1
+                r = wt_submit(t, words)
+                stall += r[0]
+                if r[1] > done:
+                    done = r[1]
+        rcur[tid] = cursor
+        region._seq += len(entries)
+        return stall, done
+
+    def step(limit_t, limit_i):
+        nonlocal a_l1_hits, a_committed, a_staged, a_spills, a_inplace
+        pc = core.pc
+        now = core.time
+        in_tx = core.in_tx
+        txid = core.txid
+        tx_index = core.tx_index
+        tx_new = tx_new_all[idx]
+        lim = limit_t if idx < limit_i else limit_t - 1
+        try:
+            while True:
+                if pc >= n_ops:
+                    return _DONE
+                if now > lim:
+                    return _YIELD
+                k = kinds[pc]
+                cost = OPOV
+                if k == 2 or k == 4:  # --------------------------- Store
+                    a = addrs[pc]
+                    v = vals[pc]
+                    if k == 2:
+                        old = olds[pc]
+                    else:
+                        old = current_get(a)
+                        if old is None:
+                            old = media_get(a, 0)
+                    base = a & line_mask
+                    bucket = l1_sets[(base >> l1_shift) % l1_nsets]
+                    line = bucket.get(base)
+                    if line is not None:
+                        bucket.move_to_end(base)
+                        a_l1_hits += 1
+                        cost += LAT_L1
+                        line.dirty_words[a] = v
+                    else:
+                        access = hier_store(idx, a, v)
+                        cost += access.latency
+                        if access.hit_level == "pm":
+                            cost += read_contention(a, now, idx)
+                        wbs = access.writebacks
+                        if wbs:
+                            cost += fused_evict(now, wbs)
+                    nv = v & M
+                    e = staged_get(a)
+                    if e is not None:
+                        e.new = nv
+                    else:
+                        if len(staged) >= CAP:
+                            # _spill: the oldest SPILL_BATCH entries.
+                            batch = [
+                                staged_pop(a2)
+                                for a2 in list(islice(staged, BATCH))
+                            ]
+                            a_spills += 1
+                            r = flush_entries(batch, now)
+                            cost += r[0]
+                            if r[1] > tld[idx]:
+                                tld[idx] = r[1]
+                        e = new_entry(entry_cls)
+                        e.tid = tid
+                        e.txid = txid
+                        e.addr = a
+                        e.old = old & M
+                        e.new = nv
+                        e.flush_bit = False
+                        e.log_addr = 0
+                        staged[a] = e
+                        a_staged += 1
+                    tx_new[a] = nv
+                    tx_lines_add(base)
+                    current[a] = v
+                elif k == 3:  # ---------------------------------- Load
+                    a = addrs[pc]
+                    base = a & line_mask
+                    bucket = l1_sets[(base >> l1_shift) % l1_nsets]
+                    line = bucket.get(base)
+                    if line is not None:
+                        bucket.move_to_end(base)
+                        a_l1_hits += 1
+                        cost += LAT_L1
+                    else:
+                        access = hier_load(idx, a)
+                        cost += access.latency
+                        if access.hit_level == "pm":
+                            cost += read_contention(a, now, idx)
+                        wbs = access.writebacks
+                        if wbs:
+                            cost += fused_evict(now, wbs)
+                elif k == 0 or k == 6:  # --------------------- TxBegin
+                    tx_index += 1
+                    txid = (tx_index % 65535) + 1
+                    in_tx = True
+                    in_tx_all[idx] = True
+                elif k == 1 or k == 7:  # ----------------------- TxEnd
+                    # PolicyScheme.on_tx_end, walking the fence schedule.
+                    if staged:
+                        entries = list(staged.values())
+                        staged.clear()
+                        stall, done = flush_entries(entries, now)
+                    else:
+                        stall = 0
+                        done = now
+                    if WAIT_LOG:
+                        if tld[idx] > done:
+                            done = tld[idx]
+                        if done - now > stall:
+                            stall = done - now
+                        stall += FENCE
+                    t2 = now + stall
+                    r = wt_submit(t2, persist_commit_tuple(tid, txid))
+                    stall += r[0] + (r[1] - t2) + FENCE
+                    if tx_new:
+                        grouped = {}
+                        for ea, ev in tx_new.items():
+                            gb = ea & -64
+                            g = grouped.get(gb)
+                            if g is None:
+                                grouped[gb] = {ea: ev}
+                            else:
+                                g[ea] = ev
+                        t2 = now + stall
+                        if INPLACE_FENCE:
+                            data_done = t2
+                            for w2 in grouped.values():
+                                r = wt_submit(t2, w2, False)
+                                stall += r[0]
+                                if r[1] > data_done:
+                                    data_done = r[1]
+                            stall += (data_done - t2) + FENCE
+                        else:
+                            for w2 in grouped.values():
+                                stall += posted_submit(t2, w2)[0]
+                        a_inplace += len(tx_new)
+                        tx_new = tx_new_all[idx] = {}
+                    if TRUNCATE_FENCE:
+                        t2 = now + stall
+                        r = wt_submit(t2, persist_commit_tuple(tid, txid))
+                        stall += r[0] + (r[1] - t2) + FENCE
+                    discard_tx(tid, txid)
+                    tx_lines.clear()
+                    tld[idx] = 0
+                    in_tx_all[idx] = False
+                    cost += stall
+                    in_tx = False
+                    committed_add((tid, tx_index))
+                    a_committed += 1
+                else:
+                    # kind 5 (LogEntry validation raises from the exact
+                    # code) and kind 8 (store outside tx / unknown op).
+                    return _EXACT
+                pc += 1
+                now += cost
+        finally:
+            core.pc = pc
+            core.time = now
+            core.in_tx = in_tx
+            core.txid = txid
+            core.tx_index = tx_index
+
+    def flush():
+        c = counters
+        if a_l1_hits:
+            c[k_l1_hits] += a_l1_hits
+        flush_submit(c)
+        if a_committed:
+            c["engine.committed"] += a_committed
+        if a_staged:
+            c["policy.staged_entries"] += a_staged
+        if a_spills:
+            c["policy.spills"] += a_spills
+        if a_inplace:
+            c["policy.inplace_words"] += a_inplace
+        if a_reg_req:
+            c["region.requests"] += a_reg_req
+        if a_reg_redo:
+            c["region.entries.redo"] += a_reg_redo
+        if a_run_records:
+            c["region.run_records"] += a_run_records
+            c["region.run_words"] += a_run_words
+        if logged_any:
+            # The exact engine leaves the logging thread's record table
+            # present but empty after commit truncation.
+            records.setdefault(tid, {})
+
+    return step, flush
+
+
 def _fused_finalize(exact):
     """Fused morlog/fwb end-of-run finalize: flush every core's dirty
     lines as posted data writes and truncate the awaiting commits,
@@ -2252,8 +2541,8 @@ def _fused_finalize(exact):
     flushed writes.  Proof-of-identity conditions: the per-line flush
     order is the exact one (cores ascending, lines sorted), each
     victim line's words stay inside one 256-byte on-PM buffer line,
-    and the posted-path arithmetic below is the same fused form the
-    eviction kernel uses (tickets are discarded by the exact finalize,
+    and each goes through the shared kernel's ``posted_submit`` on the
+    core's own channel (tickets are discarded by the exact finalize,
     so only counters and queue/bank state matter).
     """
     scheme = exact.scheme
@@ -2262,83 +2551,18 @@ def _fused_finalize(exact):
     for c in exact._cores:
         if c.time > end:
             end = c.time
-    mc = system.mc
-    nch = mc.channels
-    wpq_heaps = mc._wpq_heaps
-    wpq_cap = mc._wpq_capacity
-    chfree = mc._channel_free
-    bank_free = mc._bank_free
-    BUS = mc._bus_overhead
-    BEAT = mc._bus_beat
-    WSERV = mc._write_service
-    pm = system.pm
-    onpm = pm.buffer
-    onpm_lines = onpm._lines
-    onpm_get = onpm_lines.get
-    onpm_move = onpm_lines.move_to_end
-    onpm_cap = onpm._capacity
-    onpm_mask = onpm._line_mask
-    evict_lru = onpm._evict_lru  # live counters (rare capacity victims)
     writeback_line = system.hierarchy.writeback_line
     counters = system.stats.counters
-    a_mc = a_bytes = a_onpm = a_coal = a_stall = 0
     for core, lines in enumerate(scheme._dirty_lines):
         if not lines:
             continue
-        chan = core % nch
-        wpq_heap = wpq_heaps[chan]
-        banks = bank_free[chan]
+        _, posted_submit, flush_submit = _make_submit_kernel(system, core)
         for line in sorted(lines):
             words = writeback_line(core, line)
-            if not words:
-                continue
-            nw = len(words)
-            a_mc += 1
-            a_bytes += 8 * nw
-            a_onpm += 1
-            b = line & onpm_mask
-            pending = onpm_get(b)
-            extra = 0
-            if pending is None:
-                if len(onpm_lines) >= onpm_cap:
-                    extra = evict_lru()
-                onpm_lines[b] = dict(words)
-                if nw > 1:
-                    a_coal += nw - 1
-            else:
-                onpm_move(b)
-                pending.update(words)
-                a_coal += nw
-            while wpq_heap and wpq_heap[0] <= end:
-                heappop(wpq_heap)
-            if len(wpq_heap) < wpq_cap:
-                adm = end
-            else:
-                adm = wpq_heap[0]
-                a_stall += adm - end
-            busy = chfree[chan]
-            start = adm if adm > busy else busy
-            persisted = start + BUS + BEAT * nw
-            chfree[chan] = persisted
-            media_done = persisted
-            if extra:
-                for _ in range(extra):
-                    free = banks[0]
-                    begin = persisted if persisted > free else free
-                    media_done = begin + WSERV
-                    heapreplace(banks, media_done)
-            heappush(wpq_heap, media_done)
+            if words:
+                posted_submit(end, words)
         lines.clear()
-    if a_mc:
-        counters["mc.writes"] += a_mc
-        counters["mc.writes.data"] += a_mc
-        counters["pm.requests.data"] += a_mc
-        counters["pm.request_bytes.data"] += a_bytes
-        counters["onpm.requests"] += a_onpm
-    if a_coal:
-        counters["onpm.coalesced_words"] += a_coal
-    if a_stall:
-        counters["mc.wpq_stall_cycles"] += a_stall
+        flush_submit(counters)
     scheme._truncate_awaiting()
 
 
@@ -2435,18 +2659,18 @@ class ColumnarEngine:
         steppers = []
         flushes = []
         tags = []
-        fused = 0
         for idx, c in enumerate(cores):
             made = _make_stepper(exact, idx, c, pre.cores[idx], pre)
             if isinstance(made, str):
+                # No fused kernel: every op of the core runs through
+                # the exact engine, attributed to this tag.
                 tags.append("core:" + made)
-                made = _make_generic_stepper(exact, idx, c)
+                steppers.append(None)
             else:
                 tags.append(None)
-                fused += 1
-            steppers.append(made[0])
-            flushes.append(made[1])
-        self.fused_cores = fused
+                steppers.append(made[0])
+                flushes.append(made[1])
+        self.fused_cores = len(flushes)
 
         total = sum(c.n_ops for c in cores)
         n_exact = 0
@@ -2455,18 +2679,44 @@ class ColumnarEngine:
         heap = [(c.time, i) for i, c in enumerate(cores) if c.pc < c.n_ops]
         heapify(heap)
         exact_step = exact._step
+        EXACT = _EXACT
         while heap:
-            _, i = heappop(heap)
-            if heap:
-                limit_t, limit_i = heap[0]
+            # The running core stays at the heap root; the epoch limit
+            # is the smaller of the root's children (the next-earliest
+            # core, ties toward the lower index as tuples compare).
+            i = heap[0][1]
+            n = len(heap)
+            if n > 2:
+                a = heap[1]
+                b = heap[2]
+                limit_t, limit_i = a if a < b else b
+            elif n == 2:
+                limit_t, limit_i = heap[1]
             else:
                 limit_t, limit_i = _INF, 0
             c = cores[i]
-            st = steppers[i](limit_t, limit_i)
-            while st == _EXACT:
+            step = steppers[i]
+            if step is None:
                 tag = tags[i]
-                if tag is None:
-                    tag = _OP_REASON[pcores[i].kinds[c.pc]]
+                ran = 0
+                try:
+                    while True:
+                        ran += 1
+                        exact_step(i, c)
+                        if c.pc >= c.n_ops:
+                            st = _DONE
+                            break
+                        now = c.time
+                        if now > limit_t or (now == limit_t and i > limit_i):
+                            st = _YIELD
+                            break
+                finally:
+                    fb[tag] = fb.get(tag, 0) + ran
+                    n_exact += ran
+            else:
+                st = step(limit_t, limit_i)
+            while st == EXACT:
+                tag = _OP_REASON[pcores[i].kinds[c.pc]]
                 fb[tag] = fb.get(tag, 0) + 1
                 exact_step(i, c)
                 n_exact += 1
@@ -2477,9 +2727,11 @@ class ColumnarEngine:
                 if now > limit_t or (now == limit_t and i > limit_i):
                     st = _YIELD
                     break
-                st = steppers[i](limit_t, limit_i)
+                st = step(limit_t, limit_i)
             if st == _YIELD:
-                heappush(heap, (c.time, i))
+                heapreplace(heap, (c.time, i))
+            else:
+                heappop(heap)
 
         for flush in flushes:
             flush()

@@ -10,13 +10,19 @@ including runs where a crash plan forces the columnar engine down its
 exact-delegation path.
 """
 
+import json
+import pathlib
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import SystemConfig
+from repro.designs.catalog import Quadra1FScheme
 from repro.designs.scheme import SchemeRegistry
+from repro.harness.fingerprints import CRASH_FRACTIONS, WORKLOADS
 from repro.sim.columnar import ColumnarEngine
 from repro.sim.crash import CrashPlan
 from repro.sim.engine import TransactionEngine
@@ -216,3 +222,120 @@ class TestColumnarCrashDelegation:
         )
         assert engine.delegated
         assert engine.delegated_reason == "crash_plan"
+
+
+# ----------------------------------------------------------------------
+# The fused policy kernel (aglog, quadra1f, trinity2f, redolog4f)
+# ----------------------------------------------------------------------
+POLICY_DESIGNS = ("aglog", "quadra1f", "trinity2f", "redolog4f")
+
+_FINGERPRINTS = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "data"
+    / "golden"
+    / "design_fingerprints.json"
+)
+
+
+class _HookOverride(Quadra1FScheme):
+    """Own policy-profile spec, but an overridden lifecycle hook: its
+    hot-path behaviour is unknown to the fused kernel."""
+
+    name = "quadra1f-override"
+    spec = replace(Quadra1FScheme.spec, name="quadra1f-override")
+
+    def on_store(self, core, tid, txid, addr, old, new, now, access):
+        return super().on_store(core, tid, txid, addr, old, new, now, access)
+
+
+class _InheritedSpec(Quadra1FScheme):
+    """The profile must be declared on the class's own spec."""
+
+    name = "quadra1f-inherited"
+
+
+class _UnprofiledSpec(Quadra1FScheme):
+    name = "quadra1f-unprofiled"
+    spec = replace(
+        Quadra1FScheme.spec, name="quadra1f-unprofiled", columnar_profile=None
+    )
+
+
+def _run_policy(engine_cls, scheme_cls, trace):
+    system = System(SystemConfig.table2(2))
+    engine = engine_cls(system, scheme_cls(system), trace)
+    return engine, engine.run()
+
+
+class TestPolicyKernel:
+    """The spec-driven designs run fully fused and reproduce the
+    exact engine's golden fingerprints bit-for-bit."""
+
+    @pytest.mark.parametrize("design", POLICY_DESIGNS)
+    def test_clean_fingerprints_fully_fused(self, design):
+        expected = json.loads(_FINGERPRINTS.read_text())["designs"][design]
+        clean = [name for name, fraction in CRASH_FRACTIONS if fraction < 0]
+        for workload, params in WORKLOADS:
+            for crash_name in clean:
+                cell = f"{workload}.{crash_name}"
+                trace = synthetic_trace(SyntheticTraceConfig(**params))
+                system = System(
+                    SystemConfig.table2(max(int(params["threads"]), 1))
+                )
+                engine = ColumnarEngine(
+                    system, SchemeRegistry.create(design, system), trace
+                )
+                result = engine.run()
+                exp = expected[cell]
+                assert result.end_cycle == exp["end_cycle"], cell
+                assert sorted(map(list, result.committed)) == exp["committed"]
+                assert dict(sorted(result.stats.as_dict().items())) == (
+                    exp["stats"]
+                ), cell
+                stats = engine.engine_stats()
+                assert stats["fast_fraction"] == 1.0, (cell, stats)
+                assert stats["fallback_reasons"] == {}
+
+    @pytest.mark.parametrize(
+        "scheme_cls", [_HookOverride, _InheritedSpec, _UnprofiledSpec]
+    )
+    def test_unfusable_subclass_falls_back(self, scheme_cls):
+        trace = synthetic_trace(
+            SyntheticTraceConfig(
+                threads=2,
+                transactions_per_thread=4,
+                write_set_words=12,
+                rewrite_fraction=0.3,
+                silent_fraction=0.1,
+                arena_words=128,
+                loads_per_store=0.2,
+                seed=11,
+            )
+        )
+        _, exact = _run_policy(TransactionEngine, scheme_cls, trace)
+        engine, columnar = _run_policy(ColumnarEngine, scheme_cls, trace)
+        assert exact.end_cycle == columnar.end_cycle
+        assert dict(exact.stats.counters) == dict(columnar.stats.counters)
+        stats = engine.engine_stats()
+        assert stats["fast_fraction"] == 0.0
+        assert set(stats["fallback_reasons"]) == {
+            f"core:unfused_design:{scheme_cls.name}"
+        }
+
+    @pytest.mark.parametrize("design", POLICY_DESIGNS)
+    def test_addr48_probe_falls_back_per_op(self, design):
+        """A store beyond the 48-bit field reaches the exact engine
+        mid-epoch, which raises from ``LogEntry`` validation exactly as
+        an all-exact run does; the hand-back is attributed ``op:addr48``."""
+        trace = _addr48_trace(3, 3, 2, seed=21)
+        errors = []
+        for engine_cls in (TransactionEngine, ColumnarEngine):
+            system = System(SystemConfig.table2(2))
+            engine = engine_cls(
+                system, SchemeRegistry.create(design, system), trace
+            )
+            with pytest.raises(ValueError) as err:
+                engine.run()
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert engine.fallback_reasons == {"op:addr48": 1}

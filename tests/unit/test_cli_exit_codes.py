@@ -114,6 +114,26 @@ class TestUsageErrors:
         assert main(["exp", "run", "table1", "--set", "bogus=1"]) == EXIT_USAGE
         assert "unknown parameter" in capsys.readouterr().err
 
+    def test_exp_run_non_positive_count_override(self, capsys):
+        assert (
+            main(["exp", "run", "fig4", "--set", "transactions=-5", "--no-cache"])
+            == EXIT_USAGE
+        )
+        assert "positive integers" in capsys.readouterr().err
+
+    def test_exp_run_missing_normalization_baseline(self, capsys):
+        argv = ["exp", "run", "fig11", "--smoke", "--no-cache", "--jobs", "1"]
+        assert main(argv + ["--set", "schemes=silo"]) == EXIT_USAGE
+        assert "normalized to 'base'" in capsys.readouterr().err
+
+    def test_litmus_unknown_scheme(self, capsys):
+        assert main(["litmus", "--scheme", "nosuch", "--no-cache"]) == EXIT_USAGE
+        assert "unknown scheme 'nosuch'" in capsys.readouterr().err
+
+    def test_litmus_scheme_typo_suggests(self, capsys):
+        assert main(["litmus", "--scheme", "aglogg", "--no-cache"]) == EXIT_USAGE
+        assert "did you mean 'aglog'" in capsys.readouterr().err
+
     def test_legacy_config_error_maps_to_usage(self, monkeypatch, capsys):
         def _boom(args, ex):
             raise ConfigError("bad knob")
@@ -177,6 +197,44 @@ class TestFailures:
         assert main(["table1"]) == EXIT_FAILURE
 
 
+class _Report:
+    passed = True
+
+    def format_report(self):
+        return "stub report"
+
+
+class TestSchemeFlag:
+    """``--scheme`` selects the designs of litmus and trace."""
+
+    def _capture(self, monkeypatch, module):
+        seen = {}
+
+        def _run(**kwargs):
+            seen.update(kwargs)
+            return _Report()
+
+        monkeypatch.setattr(module, "run", _run)
+        return seen
+
+    def test_litmus_runs_one_design(self, monkeypatch, capsys):
+        seen = self._capture(monkeypatch, cli.litmus)
+        assert main(["litmus", "--scheme", "quadra1f", "--no-cache"]) == EXIT_OK
+        assert seen["schemes"] == ("quadra1f",)
+
+    @pytest.mark.parametrize("argv", [[], ["--scheme", "all"]])
+    def test_litmus_defaults_to_every_design(self, monkeypatch, capsys, argv):
+        seen = self._capture(monkeypatch, cli.litmus)
+        assert main(["litmus", "--no-cache", *argv]) == EXIT_OK
+        assert seen["schemes"] == cli.litmus.LITMUS_SCHEMES
+        assert len(seen["schemes"]) == 13
+
+    def test_trace_keeps_silo_default(self, monkeypatch, capsys):
+        seen = self._capture(monkeypatch, cli.tracecmd)
+        assert main(["trace", "--no-cache"]) == EXIT_OK
+        assert seen["scheme"] == "silo"
+
+
 class TestSuccess:
     def test_exp_list_shows_the_full_catalog(self, capsys):
         assert main(["exp", "list"]) == EXIT_OK
@@ -202,6 +260,21 @@ class TestSuccess:
 
     def test_exp_run_set_override(self, capsys):
         assert main(["exp", "run", "table1", "--set", "cores=4"]) == EXIT_OK
+
+    def test_exp_run_bare_scheme_override(self, capsys):
+        """``schemes=silo`` is one design, not four one-letter ones."""
+        assert (
+            main(
+                [
+                    "exp", "run", "catalog", "--smoke", "--no-cache",
+                    "--jobs", "1", "--set", "schemes=silo",
+                ]
+            )
+            == EXIT_OK
+        )
+        out = capsys.readouterr().out
+        assert "workload | silo" in out
+        assert "| s " not in out
 
     def test_exp_run_simulated_smoke(self, capsys):
         assert (

@@ -70,6 +70,55 @@ class TestSpec:
         with pytest.raises(ConfigError, match="unknown parameter"):
             _toy_spec().merged_params(overrides=dict(bogus=1))
 
+    def test_bare_value_for_tuple_param_becomes_one_tuple(self):
+        merged = _toy_spec().merged_params(overrides=dict(schemes="silo"))
+        assert merged["schemes"] == ("silo",)
+
+    def test_list_for_tuple_param_becomes_tuple(self):
+        merged = _toy_spec().merged_params(
+            overrides=dict(schemes=["base", "lad"])
+        )
+        assert merged["schemes"] == ("base", "lad")
+
+    def test_scalar_param_keeps_its_override(self):
+        assert _toy_spec().merged_params(overrides=dict(threads=4))[
+            "threads"
+        ] == 4
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("threads", -5),
+            ("threads", 0),
+            ("threads", 2.5),
+            ("threads", True),
+            ("threads", "four"),
+            ("transactions", -5),
+            ("cores", 0),
+            ("core_counts", (1, 0)),
+            ("core_counts", ()),
+        ],
+    )
+    def test_non_positive_counts_rejected(self, key, value):
+        spec = _toy_spec(
+            params=dict(
+                schemes=("base",),
+                workloads=("hash",),
+                threads=1,
+                transactions=5,
+                cores=1,
+                core_counts=(1, 2),
+            )
+        )
+        with pytest.raises(ConfigError, match="positive integers"):
+            spec.merged_params(overrides={key: value})
+
+    def test_bare_count_for_tuple_count_param(self):
+        spec = _toy_spec(params=dict(core_counts=(1, 2)))
+        assert spec.merged_params(overrides=dict(core_counts=4)) == {
+            "core_counts": (4,)
+        }
+
 
 class TestLowering:
     def test_product_order_matches_nested_loops(self):
