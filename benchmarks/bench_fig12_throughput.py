@@ -9,13 +9,16 @@ import pytest
 from conftest import run_once
 
 from repro.harness import fig12
+from repro.harness.experiments import run_experiment
 
 
 @pytest.mark.parametrize("cores", [1, 8])
 def test_fig12_throughput(benchmark, bench_tx, cores):
     result = run_once(
         benchmark,
-        lambda: fig12.run(core_counts=(cores,), transactions=bench_tx),
+        lambda: run_experiment(
+            fig12.SPEC, core_counts=(cores,), transactions=bench_tx
+        ),
     )
     print()
     print(result.format_report())
@@ -37,7 +40,9 @@ def test_fig12_silo_gain_grows_with_cores(benchmark, bench_tx):
     Silo's advantage larger at higher core counts."""
     result = run_once(
         benchmark,
-        lambda: fig12.run(core_counts=(1, 8), transactions=bench_tx),
+        lambda: run_experiment(
+            fig12.SPEC, core_counts=(1, 8), transactions=bench_tx
+        ),
     )
     gain_1 = result.normalized(1)["average"]["silo"]
     gain_8 = result.normalized(8)["average"]["silo"]

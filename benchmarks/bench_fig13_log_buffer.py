@@ -8,11 +8,13 @@ counts motivate a small (20-entry) log buffer.
 from conftest import run_once
 
 from repro.harness import fig13
+from repro.harness.experiments import run_experiment
 
 
 def test_fig13_log_reduction(benchmark, bench_tx):
     result = run_once(
-        benchmark, lambda: fig13.run(threads=4, transactions=bench_tx)
+        benchmark,
+        lambda: run_experiment(fig13.SPEC, threads=4, transactions=bench_tx),
     )
     print()
     print(result.format_report())

@@ -11,12 +11,15 @@ essentially flat thanks to ignorance and locality.
 from conftest import run_once
 
 from repro.harness import fig14
+from repro.harness.experiments import run_experiment
 
 
 def test_fig14_large_transactions(benchmark, bench_tx):
     result = run_once(
         benchmark,
-        lambda: fig14.run(threads=4, transactions=max(bench_tx // 2, 30)),
+        lambda: run_experiment(
+            fig14.SPEC, threads=4, transactions=max(bench_tx // 2, 30)
+        ),
     )
     print()
     print(result.format_report())

@@ -1,15 +1,17 @@
 """Experiment drivers regenerating every table and figure of the paper.
 
 Every study is an :class:`~repro.harness.experiments.ExperimentSpec`
-registered in :data:`~repro.harness.experiments.REGISTRY` and run by the
-generic campaign engine (``silo-repro exp list|run``).  Each module
-still exposes its historical ``run(...) -> <Result dataclass>`` API
-returning the raw numbers plus a ``format_report`` helper that prints
-the same rows or series the paper reports.  The CLI (``silo-repro``)
-and the ``benchmarks/`` suite are thin wrappers around these.
+registered in :data:`~repro.harness.experiments.REGISTRY`; each module
+declares its ``SPEC`` plus the result dataclass whose
+``format_report`` prints the rows or series the paper reports.  Run
+one from Python with ``run_experiment(<module>.SPEC, **overrides)`` or
+from the shell with ``silo-repro exp run <name>``.  The verification
+campaigns (``bench``, ``crashtest``, ``faultsweep``, ``litmus``,
+``chaos``, ``trace``) keep their own ``run(...)`` entry points; the
+CLI (``silo-repro``) and the ``benchmarks/`` suite are thin wrappers
+around all of these.
 """
 
-from repro.harness.runner import GridResult, normalize_to, run_grid
 from repro.harness import (
     bench,
     crashtest,
@@ -29,9 +31,6 @@ from repro.harness import (
 )
 
 __all__ = [
-    "GridResult",
-    "normalize_to",
-    "run_grid",
     "bench",
     "crashtest",
     "experiments",

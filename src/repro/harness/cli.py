@@ -1,4 +1,4 @@
-"""Command-line entry point: regenerate any table or figure.
+"""Command-line entry point: one ``argparse`` tree for every campaign.
 
 Examples::
 
@@ -7,33 +7,37 @@ Examples::
     silo-repro exp run fig12 --smoke     # CI-sized campaign
     silo-repro exp run --all --smoke --jobs 2
     silo-repro exp run fig14 --set transactions=80 --json
-    silo-repro fig4
-    silo-repro fig11 --cores 1 8 --transactions 300
-    silo-repro fig12 --jobs 8            # fan cells across 8 processes
-    silo-repro fig12                     # re-run: served from .repro-cache/
-    silo-repro fig13 --no-cache
-    silo-repro fig15 --fresh             # recompute, refresh the cache
-    silo-repro all --jobs 8
+    silo-repro fig4                      # same as: exp run fig4
+    silo-repro all --jobs 8              # same as: exp run --all --jobs 8
+    silo-repro bench --smoke --engine both
+    silo-repro litmus --scheme quadra1f
+    silo-repro replay --spec '<cell json>'
     silo-repro cache stats
-    silo-repro cache clear
+
+Each subcommand owns only its own flags, so a flag meant for another
+command is a usage error, never silently ignored.  A registered
+experiment name (or ``all``) in first position is shorthand for
+``exp run <name>`` (``exp run --all``): the argument list is rewritten
+before parsing, so both spellings run the same code with the spec's
+parameters as the only defaults (``--set KEY=VALUE`` overrides them).
 
 Exit codes are uniform across all subcommands: 0 on success, 1 when
-an experiment fails (a raised cell or an oracle violation), 2 on a
-usage or configuration error (unknown experiment, bad ``--set`` key,
-malformed flags), 3 when a ``--partial`` run completed with holes
-(results rendered, but cells are missing), and 130 when a campaign
-was interrupted (SIGINT) and drained gracefully — its journal is
-flushed and ``--resume`` continues where it stopped.
+a campaign fails (a raised cell or an oracle violation), 2 on a usage
+or configuration error (unknown experiment, bad ``--set`` key,
+malformed flags or ``--spec``), 3 when a ``--partial`` run completed
+with holes (results rendered, but cells are missing), and 130 when a
+campaign was interrupted (SIGINT) and drained gracefully — its journal
+is flushed and ``--resume`` continues where it stopped.
 
-Every experiment fans its (workload x scheme x cores x config) cells
-out through :class:`repro.harness.executor.Executor`: ``--jobs N``
-worker processes (default: all CPUs; ``--jobs 1`` is the serial
-in-process path) over the content-addressed result cache in
-``.repro-cache/`` (keyed by cell spec + a source fingerprint, so any
-simulator edit invalidates it automatically).  Results are
-bit-identical at any jobs count and cache state.  A cell that fails
-is reported with its worker traceback, the rest of the campaign
-completes, and the exit status is nonzero.
+Every campaign fans its cells out through
+:class:`repro.harness.executor.Executor`, configured by the shared
+executor flags: ``--jobs N`` worker processes (default: all CPUs;
+``--jobs 1`` is the serial in-process path) over the content-addressed
+result cache in ``.repro-cache/`` (keyed by cell spec + a source
+fingerprint, so any simulator edit invalidates it automatically).
+Results are bit-identical at any jobs count and cache state.  A cell
+that fails is reported with its worker traceback, the rest of the
+campaign completes, and the exit status is nonzero.
 """
 
 from __future__ import annotations
@@ -41,32 +45,16 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.common.errors import ConfigError, ExecutionError
 from repro.designs.scheme import SchemeRegistry
-from repro.harness import (
-    bench,
-    catalog,
-    crashtest,
-    faultsweep,
-    fig4,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    litmus,
-    mcsweep,
-    recovery_cost,
-    replay,
-    table1,
-    table4,
-    tracecmd,
-)
+from repro.harness import bench, crashtest, faultsweep, litmus, replay, tracecmd
 from repro.harness.executor import CampaignInterrupted, Executor, spec_key
 from repro.harness.experiments import load_all, render, run_campaign
 from repro.harness.experiments.engine import PartialCampaignResult
@@ -74,7 +62,7 @@ from repro.harness.journal import CampaignJournal
 from repro.harness.resultcache import ResultCache
 from repro.harness.traceartifacts import TraceArtifactStore
 
-#: Uniform exit codes for every subcommand (legacy, exp, cache, replay).
+#: Uniform exit codes for every subcommand.
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
@@ -83,90 +71,16 @@ EXIT_PARTIAL = 3
 #: SIGINT drained gracefully (128 + SIGINT, the shell convention).
 EXIT_INTERRUPTED = 130
 
-_EXPERIMENTS = {
-    "bench": lambda args, ex: (
-        bench.run_engine_comparison(
-            smoke=args.smoke,
-            output=args.engine_output,
-            repeats=args.repeats,
-            executor=ex,
-        )
-        if args.engine == "both"
-        else bench.run(
-            smoke=args.smoke,
-            output=args.bench_output,
-            repeats=args.repeats,
-            executor=ex,
-            profile=args.profile,
-            engine=args.engine,
-        )
-    ),
-    "crashtest": lambda args, ex: crashtest.run(
-        points_per_pair=args.crash_points, seed=args.seed, executor=ex
-    ),
-    "faultsweep": lambda args, ex: faultsweep.run(
-        points_per_pair=args.crash_points,
-        seed=args.seed,
-        executor=ex,
-        output=args.fault_output,
-        smoke=args.smoke,
-        trace_output=args.fault_trace_output,
-    ),
-    "litmus": lambda args, ex: litmus.run(
-        schemes=_schemes(args.scheme or "all", litmus.LITMUS_SCHEMES),
-        smoke=args.smoke,
-        executor=ex,
-        output=args.litmus_output,
-    ),
-    "mcsweep": lambda args, ex: mcsweep.run(
-        transactions=args.transactions, executor=ex
-    ),
-    "catalog": lambda args, ex: catalog.run(
-        transactions=args.transactions, executor=ex
-    ),
-    "recovery": lambda args, ex: recovery_cost.run(
-        transactions=args.transactions, executor=ex
-    ),
-    "fig4": lambda args, ex: fig4.run(transactions=args.transactions, executor=ex),
-    "fig11": lambda args, ex: fig11.run(
-        core_counts=tuple(args.cores), transactions=args.transactions, executor=ex
-    ),
-    "fig12": lambda args, ex: fig12.run(
-        core_counts=tuple(args.cores), transactions=args.transactions, executor=ex
-    ),
-    "fig13": lambda args, ex: fig13.run(
-        transactions=args.transactions, executor=ex
-    ),
-    "fig14": lambda args, ex: fig14.run(
-        transactions=min(args.transactions, 150), executor=ex
-    ),
-    "fig15": lambda args, ex: fig15.run(
-        transactions=args.transactions, executor=ex
-    ),
-    "table1": lambda args, ex: table1.run(),
-    "table4": lambda args, ex: table4.run(),
-    "trace": lambda args, ex: tracecmd.run(
-        scheme=args.scheme or "silo",
-        workload=args.workload,
-        transactions=min(args.transactions, 100),
-        output=args.trace_out,
-        executor=ex,
-    ),
-}
+CACHE_DIR_HELP = "cache directory (default: $SILO_CACHE_DIR or .repro-cache)"
+
+#: One campaign of a command: its name, its journal key (``None``: not
+#: journaled) and the call running it, given ``executor=``.
+CampaignRun = Tuple[str, Optional[str], Callable[..., Any]]
 
 
-def _schemes(name: str, everything: Tuple[str, ...]) -> Tuple[str, ...]:
-    """``--scheme`` for a campaign over designs: one registered design
-    name, or ``all`` for ``everything``.  An unknown name is a
-    :class:`ConfigError` (exit 2) with the registry's did-you-mean
-    hint, never a silent run of every design."""
-    if name == "all":
-        return everything
-    if name not in SchemeRegistry.names():
-        raise SchemeRegistry.unknown_scheme_error(name)
-    return (name,)
-
-
+# ----------------------------------------------------------------------
+# Argument types: bad values are usage errors (exit 2) at the boundary
+# ----------------------------------------------------------------------
 def _count(text: str) -> int:
     """argparse type for counts: an integer >= 1, else a usage error
     (exit 2) instead of a plausible-looking table of zeros."""
@@ -179,366 +93,253 @@ def _count(text: str) -> int:
     return value
 
 
+def _non_negative(text: str) -> int:
+    """argparse type for ``--retries``: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def _cell_timeout(text: str):
+    """argparse type for ``--cell-timeout``: ``auto``, ``0`` (off, as
+    ``None``) or a positive finite number of seconds."""
+    if text == "auto":
+        return "auto"
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if seconds == 0:
+        return None
+    if not (seconds > 0 and math.isfinite(seconds)):
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto', 0 (off) or a positive number of seconds, "
+            f"got {text!r}"
+        )
+    return seconds
+
+
+def _executor_flags() -> argparse.ArgumentParser:
+    """The parent parser of every command that runs cells."""
+    parent = argparse.ArgumentParser(add_help=False)
+    flag = parent.add_argument_group("executor").add_argument
+    flag("--jobs", type=_count, help="worker processes (default: all CPUs; 1 = serial)")
+    flag("--no-cache", action="store_true", help="neither read nor write the cache")
+    flag("--fresh", action="store_true", help="recompute every cell, refresh the cache")
+    flag("--cache-dir", help=CACHE_DIR_HELP)
+    flag("--batch", type=_count, help="cells per worker task (default: auto-sized)")
+    flag(
+        "--cell-timeout",
+        type=_cell_timeout,
+        metavar="SECONDS",
+        help="per-cell watchdog: seconds, 'auto' (calibrated) or 0 (off, default)",
+    )
+    flag(
+        "--retries",
+        type=_non_negative,
+        default=0,
+        help="re-run cells whose worker died or timed out, up to N times (default 0)",
+    )
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="silo-repro",
-        description="Regenerate the tables and figures of the Silo paper "
-        "(HPCA 2023) on the trace-driven simulator.",
+        description="Regenerate the tables and figures of the Silo paper (HPCA "
+        "2023) on the trace-driven simulator.  A registered experiment name "
+        "(or 'all') as the first argument is shorthand for 'exp run NAME' "
+        "('exp run --all').",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(_EXPERIMENTS) + ["all", "cache", "chaos", "replay"],
-        help="which table/figure to regenerate, 'cache' to manage the "
-        "result cache, 'chaos' to self-test the execution layer under "
-        "injected faults, or 'replay' to re-run one failed cell from "
-        "its --spec JSON",
-    )
-    parser.add_argument(
-        "action",
-        nargs="?",
-        choices=["stats", "clear"],
-        help="cache only: 'stats' (default) or 'clear'",
-    )
-    parser.add_argument(
-        "--transactions",
-        type=_count,
-        default=200,
-        help="transactions per thread (default 200; the paper used 10k "
-        "on Gem5 — ratios stabilize far earlier in this simulator)",
-    )
-    parser.add_argument(
-        "--cores",
-        type=_count,
-        nargs="+",
-        default=[1, 2, 4, 8],
-        help="core counts for fig11/fig12 (default: 1 2 4 8)",
-    )
-    parser.add_argument(
-        "--crash-points",
-        type=_count,
-        default=20,
-        help="crash points per (scheme, workload) pair for "
-        "crashtest/faultsweep",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="RNG seed for the randomized crashtest/faultsweep draws "
-        "(default 0)",
-    )
-    parser.add_argument(
-        "--fault-output",
-        default="FAULTSWEEP.json",
-        help="faultsweep only: where to write the campaign report "
-        "(default: FAULTSWEEP.json)",
-    )
-    parser.add_argument(
-        "--trace-output",
-        dest="fault_trace_output",
-        default=None,
-        help="faultsweep only: also write a Chrome/Perfetto trace of "
-        "one representative faulted cell (crash + recovery events)",
-    )
-    parser.add_argument(
-        "--litmus-output",
-        default="LITMUS.json",
-        help="litmus only: where to write the campaign report "
-        "(default: LITMUS.json)",
-    )
-    parser.add_argument(
-        "--spec",
-        default=None,
-        help="replay only: the cell-spec JSON printed by a failing "
-        "crashtest/faultsweep cell",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes to fan cells across (default: all CPUs; "
-        "1 = in-process serial execution)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the result cache entirely (no reads, no writes)",
-    )
-    parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="recompute every cell, overwriting its cache entry",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default: $SILO_CACHE_DIR or "
-        ".repro-cache)",
-    )
-    parser.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="cells per worker task (default: auto-sized from a cheap "
-        "cost estimate; 1 = one task per cell)",
-    )
-    parser.add_argument(
-        "--cell-timeout",
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock watchdog per cell: a task exceeding "
-        "SECONDS x its cell count has its worker killed and the cells "
-        "recorded as 'timeout' (or retried); 'auto' calibrates from "
-        "observed completions, 0 disables (default: off)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-dispatch cells whose worker died or timed out up to N "
-        "extra times, with exponential backoff (default: 0)",
-    )
-    parser.add_argument(
+    version = f"silo-repro {__version__}"
+    parser.add_argument("--version", action="version", version=version)
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    executor = _executor_flags()
+    resume = argparse.ArgumentParser(add_help=False)
+    resume.add_argument(
         "--resume",
         action="store_true",
-        help="faultsweep only: continue an interrupted campaign from "
-        "its journal, re-running only unfinished cells",
-    )
-    parser.add_argument(
-        "--chaos-output",
-        default="CHAOS.json",
-        help="chaos only: where to write the self-test report "
-        "(default: CHAOS.json)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="bench/faultsweep/litmus/chaos: shrink the grid to a "
-        "<60s CI budget",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=_count,
-        default=bench.DEFAULT_REPEATS,
-        help="bench only: wall-clock samples per cell; the best is "
-        "reported, the spread recorded (default 3)",
-    )
-    parser.add_argument(
-        "--bench-output",
-        default="BENCH_hotpath.json",
-        help="bench only: where to write the JSON record "
-        "(default: BENCH_hotpath.json)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("exact", "columnar", "both"),
-        default="exact",
-        help="bench only: execution engine to measure; 'both' runs the "
-        "grid under each engine, checks bit-identity, and writes the "
-        "speedup record (see --engine-output)",
-    )
-    parser.add_argument(
-        "--engine-output",
-        default="BENCH_engine.json",
-        help="bench only: where --engine both writes the comparison "
-        "record (default: BENCH_engine.json)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="bench only: enable the obs metrics registry and report "
-        "per-phase simulated-cycle attribution (profiled ops/sec is "
-        "not comparable with the plain baseline)",
-    )
-    parser.add_argument(
-        "--scheme",
-        default=None,
-        help="trace/litmus: one design, or 'all' for every registered "
-        "design (default: silo for trace, all for litmus)",
-    )
-    parser.add_argument(
-        "--workload",
-        default=tracecmd.DEFAULT_WORKLOAD,
-        help="trace only: workload to trace (default: "
-        f"{tracecmd.DEFAULT_WORKLOAD})",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default="TRACE.json",
-        help="trace only: output file; with --scheme all the scheme "
-        "name is appended per file (default: TRACE.json)",
-    )
-    return parser
-
-
-def build_exp_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="silo-repro exp",
-        description="Declarative experiment registry: list the registered "
-        "studies or run them through the generic campaign engine.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"silo-repro {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_list = sub.add_parser("list", help="list the registered experiments")
-    p_list.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable listing (name/figure/description/params)",
+        help="continue an interrupted campaign from its journal (needs the cache)",
     )
 
-    p_run = sub.add_parser("run", help="run one or more experiments")
-    p_run.add_argument(
-        "names",
-        nargs="*",
-        metavar="NAME",
-        help="registered experiment name(s); see 'silo-repro exp list'",
+    def command(name, help_text, handler, parents=()):
+        sub = commands.add_parser(name, help=help_text, parents=list(parents))
+        sub.set_defaults(handler=handler)
+        return sub.add_argument
+
+    def output(add, flag, default):
+        add(flag, default=default, help=f"report file (default: {default})")
+
+    # exp list | run
+    p_exp = commands.add_parser("exp", help="list or run the registered experiments")
+    p_exp.add_argument("--version", action="version", version=version)
+    exp = p_exp.add_subparsers(dest="exp_command", required=True)
+    p_list = exp.add_parser("list", help="list the registered experiments")
+    p_list.add_argument("--json", action="store_true", help="machine-readable listing")
+    p_list.set_defaults(handler=_exp_list)
+    p_run = exp.add_parser(
+        "run", parents=[executor, resume], help="run one or more experiments"
     )
-    p_run.add_argument(
-        "--all", action="store_true", help="run every registered experiment"
-    )
+    p_run.set_defaults(handler=_exp_run, fmt="report")
+    add = p_run.add_argument
+    add("names", nargs="*", metavar="NAME", help="see 'silo-repro exp list'")
+    add("--all", action="store_true", help="run every registered experiment")
     fmt = p_run.add_mutually_exclusive_group()
-    fmt.add_argument(
-        "--json",
-        dest="fmt",
-        action="store_const",
-        const="json",
-        help="render results as JSON instead of the text report",
-    )
-    fmt.add_argument(
-        "--csv",
-        dest="fmt",
-        action="store_const",
-        const="csv",
-        help="render results as CSV instead of the text report",
-    )
-    fmt.add_argument(
-        "--chart",
-        dest="fmt",
-        action="store_const",
-        const="chart",
-        help="render results as ASCII bar charts",
-    )
-    p_run.set_defaults(fmt="report")
-    p_run.add_argument(
-        "--smoke",
-        action="store_true",
-        help="use the spec's smoke parameters (small, CI-sized campaign)",
-    )
-    p_run.add_argument(
+    for name in ("json", "csv", "chart"):
+        fmt.add_argument(
+            f"--{name}", dest="fmt", action="store_const", const=name,
+            help=f"render results as {name.upper()} instead of the text report",
+        )
+    add("--smoke", action="store_true", help="the spec's small, CI-sized parameters")
+    add(
         "--engine",
         choices=("exact", "columnar"),
         default="exact",
-        help="execution engine for every simulated cell (default: "
-        "exact; columnar is the bit-identical batched engine)",
+        help="engine for every simulated cell (columnar: bit-identical, batched)",
     )
-    p_run.add_argument(
+    add(
         "--set",
         dest="overrides",
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="override a spec parameter; VALUE is parsed as a Python "
-        "literal when possible, else kept as a string.  May repeat.  An "
-        "unknown KEY is a usage error for a named run; with --all it is "
-        "applied only to the specs that declare it",
+        help="override a spec parameter (VALUE is a Python literal or a string); "
+        "may repeat; with --all it applies only to the specs that declare KEY",
     )
-    p_run.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes to fan cells across (default: all CPUs; "
-        "1 = in-process serial execution)",
-    )
-    p_run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the result cache entirely (no reads, no writes)",
-    )
-    p_run.add_argument(
-        "--fresh",
-        action="store_true",
-        help="recompute every cell, overwriting its cache entry",
-    )
-    p_run.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default: $SILO_CACHE_DIR or "
-        ".repro-cache)",
-    )
-    p_run.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="cells per worker task (default: auto-sized from a cheap "
-        "cost estimate; 1 = one task per cell)",
-    )
-    p_run.add_argument(
-        "--cell-timeout",
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock watchdog per cell: a task exceeding "
-        "SECONDS x its cell count has its worker killed and the cells "
-        "recorded as 'timeout' (or retried); 'auto' calibrates from "
-        "observed completions, 0 disables (default: off)",
-    )
-    p_run.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="re-dispatch cells whose worker died or timed out up to N "
-        "extra times, with exponential backoff (default: 0)",
-    )
-    p_run.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue an interrupted campaign from its journal, "
-        "re-running only unfinished cells (needs the result cache)",
-    )
-    p_run.add_argument(
+    add(
         "--partial",
         action="store_true",
-        help="degrade gracefully: render failed/timed-out cells as "
-        "explicit holes (with replay one-liners) around whatever "
-        "assembles, exit 3 instead of aborting the report",
+        help="render failed cells as holes with replay one-liners (exit 3)",
     )
+
+    add = command("bench", "hot-path throughput benchmark", _bench, [executor])
+    add("--smoke", action="store_true", help="shrink the grid to a <60s CI budget")
+    add(
+        "--repeats",
+        type=_count,
+        default=bench.DEFAULT_REPEATS,
+        help=f"wall-clock samples per cell (default {bench.DEFAULT_REPEATS})",
+    )
+    add(
+        "--engine",
+        choices=("exact", "columnar", "both"),
+        default="exact",
+        help="engine to measure; 'both' checks bit-identity and records speedups",
+    )
+    add("--bench-output", help="one-engine record (default: BENCH_hotpath.json)")
+    add("--engine-output", help="--engine both record (default: BENCH_engine.json)")
+    add(
+        "--profile",
+        action="store_true",
+        help="one-engine runs: report per-phase simulated-cycle attribution",
+    )
+
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument(
+        "--crash-points",
+        type=_count,
+        default=20,
+        help="crash points per (scheme, workload) pair (default 20)",
+    )
+    sweep.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    command("crashtest", "randomized crash sweep", _crashtest, [executor, sweep])
+    add = command(
+        "faultsweep", "fault injection", _faultsweep, [executor, sweep, resume]
+    )
+    add("--smoke", action="store_true", help="shrink the sweep to a <60s CI budget")
+    output(add, "--fault-output", "FAULTSWEEP.json")
+    add("--trace-output", help="also write a Chrome trace of one faulted cell")
+
+    add = command(
+        "litmus", "exhaustive small-scope crash checking", _litmus, [executor, resume]
+    )
+    add("--smoke", action="store_true", help="the CI-sized pattern catalog")
+    add("--scheme", default="all", help="one design, or 'all' (default)")
+    output(add, "--litmus-output", "LITMUS.json")
+
+    add = command("chaos", "self-test the executor under injected faults", _chaos)
+    add("--smoke", action="store_true", help="its only size; kept for CI symmetry")
+    add("--jobs", type=_count, default=2, help="workers (at least 2 are used)")
+    add("--seed", type=int, default=0, help="which random faults fire (default 0)")
+    output(add, "--chaos-output", "CHAOS.json")
+
+    add = command("trace", "capture Chrome/Perfetto traces", _trace, [executor])
+    add("--scheme", default="silo", help="one design, or 'all' (default: silo)")
+    add(
+        "--workload",
+        default=tracecmd.DEFAULT_WORKLOAD,
+        help=f"workload to trace (default: {tracecmd.DEFAULT_WORKLOAD})",
+    )
+    add(
+        "--transactions",
+        type=_count,
+        default=tracecmd.DEFAULT_TRANSACTIONS,
+        help=f"transactions per thread (default {tracecmd.DEFAULT_TRANSACTIONS})",
+    )
+    add(
+        "--trace-out",
+        default="TRACE.json",
+        help="output file; --scheme all appends the design (default: TRACE.json)",
+    )
+
+    add = command("replay", "re-run one cell from its --spec JSON", _replay)
+    add("--spec", required=True, help="the cell JSON a failing campaign printed")
+
+    add = command("cache", "result-cache and trace-store stats or cleanup", _cache)
+    add("action", nargs="?", choices=("stats", "clear"), default="stats")
+    add("--cache-dir", help=CACHE_DIR_HELP)
     return parser
 
 
-def _parse_cell_timeout(value):
-    """``--cell-timeout`` values: ``None``/``0`` off, ``"auto"``, or a
-    positive float of seconds."""
-    if value is None:
-        return None
-    if value == "auto":
-        return "auto"
-    try:
-        seconds = float(value)
-    except ValueError:
-        raise ConfigError(
-            f"--cell-timeout expects a number of seconds or 'auto', "
-            f"got {value!r}"
-        )
-    return seconds if seconds > 0 else None
+def expand_aliases(argv: Sequence[str]) -> List[str]:
+    """Rewrite the figure shorthands: ``NAME ...`` for a registered
+    experiment becomes ``exp run NAME ...``, ``all ...`` becomes
+    ``exp run --all ...``; anything else is returned unchanged."""
+    argv = list(argv)
+    if argv[:1] == ["all"]:
+        return ["exp", "run", "--all"] + argv[1:]
+    if argv and argv[0] in load_all():
+        return ["exp", "run"] + argv
+    return argv
 
 
-def _campaign_journal(args, campaign_key: str):
+# ----------------------------------------------------------------------
+# Shared campaign plumbing
+# ----------------------------------------------------------------------
+def _executor(args, progress: bool) -> Executor:
+    """The one executor of an invocation, from the shared flags."""
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    trace_store = None if args.no_cache else TraceArtifactStore(args.cache_dir)
+    return Executor(
+        jobs=args.jobs,
+        cache=cache,
+        fresh=args.fresh,
+        progress=progress,
+        batch=args.batch,
+        trace_store=trace_store,
+        cell_timeout=args.cell_timeout,
+        retries=args.retries,
+    )
+
+
+def _journal(args, campaign_key: Optional[str]) -> Optional[CampaignJournal]:
     """The checkpoint journal for one campaign identity, honoring
     ``--resume`` (keep it) vs. a fresh run (discard any leftover).
     Resilience flags never join the key: they change scheduling, not
     which cells the campaign contains."""
-    if getattr(args, "no_cache", False):
-        if getattr(args, "resume", False):
-            raise ConfigError("--resume needs the result cache "
-                              "(drop --no-cache)")
+    resume = getattr(args, "resume", False)
+    if campaign_key is None:
+        return None
+    if args.no_cache:
+        if resume:
+            raise ConfigError("--resume needs the result cache (drop --no-cache)")
         return None
     journal = CampaignJournal(args.cache_dir, campaign=campaign_key)
-    if not getattr(args, "resume", False):
+    if not resume:
         journal.discard()
     return journal
 
@@ -546,15 +347,15 @@ def _campaign_journal(args, campaign_key: str):
 def _report_interrupted(exc: CampaignInterrupted, name: str) -> int:
     """Render a graceful partial stop: flush the journal's partial
     manifest, say how to continue, exit 130 — never a stack trace."""
-    records = []
-    for outcome in exc.outcomes:
-        record = {
+    records = [
+        {
             "spec": json.loads(spec_key(outcome.spec)),
             "ok": outcome.ok,
             "kind": outcome.kind,
             "cached": outcome.cached,
         }
-        records.append(record)
+        for outcome in exc.outcomes
+    ]
     print(f"[{name} interrupted] {exc}", file=sys.stderr)
     if exc.journal is not None:
         path = exc.journal.write_partial_manifest(records)
@@ -563,6 +364,70 @@ def _report_interrupted(exc: CampaignInterrupted, name: str) -> int:
     return EXIT_INTERRUPTED
 
 
+def _print_report(name: str, result: Any) -> int:
+    """Print a campaign's report; validation campaigns (and replayed
+    cells) fail the run on a failed verdict, not only on raised cells."""
+    print(result.format_report())
+    if getattr(result, "passed", True) is False:
+        print(f"[{name} FAILED]", file=sys.stderr)
+        return EXIT_FAILURE
+    return EXIT_OK
+
+
+def _run_campaigns(
+    args,
+    campaigns: Sequence[CampaignRun],
+    emit: Callable[[str, Any], int] = _print_report,
+    progress: bool = True,
+) -> int:
+    """Run each campaign on one executor built from the shared flags.
+
+    ``emit(name, result)`` renders a finished campaign and returns its
+    status.  A failed campaign (``ExecutionError``) is reported and the
+    next one still runs (exit 1); an interrupt stops everything (exit
+    130); a partial render is exit 3.  ``ConfigError`` propagates to
+    :func:`main` (exit 2).
+    """
+    failed = holes = False
+    with _executor(args, progress) as executor:
+        for name, campaign_key, run in campaigns:
+            executor.journal = _journal(args, campaign_key)
+            started = time.time()
+            try:
+                result = run(executor=executor)
+            except CampaignInterrupted as exc:
+                return _report_interrupted(exc, name)
+            except ExecutionError as exc:
+                print(f"[{name} FAILED]\n{exc}", file=sys.stderr)
+                failed = True
+                continue
+            if executor.journal is not None:
+                # Clean completion: the checkpoint has served its purpose
+                # (reusable outcomes live on in the result cache).
+                executor.journal.discard()
+            status = emit(name, result)
+            failed |= status == EXIT_FAILURE
+            holes |= status == EXIT_PARTIAL
+            if progress:
+                stats = executor.stats
+                journal_text = (
+                    f", {stats.journal_hits} journal-served"
+                    if stats.journal_hits
+                    else ""
+                )
+                print(
+                    f"[{name} completed in {time.time() - started:.1f}s; "
+                    f"campaign: {stats.cells} cells, {stats.cache_hits} cached"
+                    f"{journal_text}, {executor.jobs} jobs]\n"
+                )
+    if failed:
+        return EXIT_FAILURE
+    return EXIT_PARTIAL if holes else EXIT_OK
+
+
+# ----------------------------------------------------------------------
+# Command handlers
+# ----------------------------------------------------------------------
 def _parse_overrides(pairs: List[str]) -> Dict[str, object]:
     overrides: Dict[str, object] = {}
     for text in pairs:
@@ -577,7 +442,7 @@ def _parse_overrides(pairs: List[str]) -> Dict[str, object]:
 
 
 def _exp_list(args) -> int:
-    registry = load_all()
+    specs = load_all().specs()
     if args.json:
         payload = [
             {
@@ -586,11 +451,10 @@ def _exp_list(args) -> int:
                 "description": spec.description,
                 "params": {k: repr(v) for k, v in spec.params.items()},
             }
-            for spec in registry.specs()
+            for spec in specs
         ]
         print(json.dumps(payload, indent=2))
         return EXIT_OK
-    specs = registry.specs()
     name_w = max(len(s.name) for s in specs)
     fig_w = max(len(s.figure) for s in specs)
     for spec in specs:
@@ -610,27 +474,9 @@ def _exp_run(args) -> int:
     overrides = _parse_overrides(args.overrides)
     # Resolve every name before running anything: an unknown experiment
     # is a usage error, not a partial campaign.
-    specs = (
-        registry.specs()
-        if args.all
-        else [registry.get(name) for name in args.names]
-    )
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    trace_store = None if args.no_cache else TraceArtifactStore(args.cache_dir)
-    executor = Executor(
-        jobs=args.jobs,
-        cache=cache,
-        fresh=args.fresh,
-        progress=args.fmt == "report",
-        batch=args.batch,
-        trace_store=trace_store,
-        cell_timeout=_parse_cell_timeout(args.cell_timeout),
-        retries=args.retries,
-    )
-    failures = 0
-    partials = 0
-    json_docs: Dict[str, object] = {}
-    for spec in specs:
+    specs = registry.specs() if args.all else [registry.get(n) for n in args.names]
+
+    def campaign(spec) -> CampaignRun:
         applicable = (
             {k: v for k, v in overrides.items() if k in spec.params}
             if args.all
@@ -640,79 +486,125 @@ def _exp_run(args) -> int:
             f"exp|{spec.name}|smoke={args.smoke}|engine={args.engine}|"
             + json.dumps(applicable, sort_keys=True, default=repr)
         )
-        journal = _campaign_journal(args, campaign_key)
-        executor.journal = journal
-        started = time.time()
-        try:
-            result, campaign = run_campaign(
-                spec,
-                executor=executor,
-                smoke=args.smoke,
-                engine=args.engine,
-                partial=args.partial,
-                **applicable,
-            )
-        except CampaignInterrupted as exc:
-            return _report_interrupted(exc, spec.name)
-        except ExecutionError as exc:
-            print(f"[{spec.name} FAILED]\n{exc}", file=sys.stderr)
-            failures += 1
-            continue
-        if journal is not None:
-            # Clean completion: the checkpoint has served its purpose
-            # (reusable outcomes live on in the result cache).
-            journal.discard()
+        run = partial(
+            run_campaign,
+            spec,
+            smoke=args.smoke,
+            engine=args.engine,
+            partial=args.partial,
+            **applicable,
+        )
+        return spec.name, campaign_key, run
+
+    json_docs: Dict[str, object] = {}
+
+    def emit(name: str, ran) -> int:
+        result, finished = ran
         is_partial = isinstance(result, PartialCampaignResult)
-        partials += is_partial
         if args.fmt == "json":
-            json_docs[spec.name] = {
-                "manifest": campaign.manifest(),
+            json_docs[name] = {
+                "manifest": finished.manifest(),
                 "tables": (
-                    result.to_json_dict()
-                    if is_partial
-                    else result.to_json_payload()
+                    result.to_json_dict() if is_partial else result.to_json_payload()
                 ),
             }
-            continue
-        print(render(result, args.fmt))
-        if args.fmt == "report":
-            stats = executor.stats
-            journal_text = (
-                f", {stats.journal_hits} journal-served"
-                if stats.journal_hits
-                else ""
-            )
-            print(
-                f"[{spec.name} completed in {time.time() - started:.1f}s; "
-                f"campaign: {stats.cells} cells, {stats.cache_hits} cached"
-                f"{journal_text}, {executor.jobs} jobs]\n"
-            )
-    if args.fmt == "json" and json_docs:
+        else:
+            print(render(result, args.fmt))
+        return EXIT_PARTIAL if is_partial else EXIT_OK
+
+    status = _run_campaigns(
+        args, [campaign(spec) for spec in specs], emit, progress=args.fmt == "report"
+    )
+    if status != EXIT_INTERRUPTED and json_docs:
         if len(json_docs) == 1 and not args.all:
             (payload,) = json_docs.values()
             print(json.dumps(payload, indent=2))
         else:
             print(json.dumps(json_docs, indent=2))
-    if failures:
-        return EXIT_FAILURE
-    return EXIT_PARTIAL if partials else EXIT_OK
+    return status
 
 
-def _exp_main(argv: List[str]) -> int:
-    args = build_exp_parser().parse_args(argv)
-    try:
-        if args.command == "list":
-            return _exp_list(args)
-        return _exp_run(args)
-    except ConfigError as exc:
-        print(f"silo-repro exp: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ExecutionError as exc:
-        print(f"silo-repro exp: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+def _bench(args) -> int:
+    both = args.engine == "both"
+    if both and (args.profile or args.bench_output):
+        raise ConfigError(
+            "--profile and --bench-output apply to one-engine runs; "
+            "--engine both writes --engine-output"
+        )
+    if not both and args.engine_output:
+        raise ConfigError("--engine-output applies only to --engine both")
+    common = dict(smoke=args.smoke, repeats=args.repeats)
+    if both:
+        output = args.engine_output or "BENCH_engine.json"
+        run = partial(bench.run_engine_comparison, output=output, **common)
+    else:
+        output = args.bench_output or "BENCH_hotpath.json"
+        run = partial(
+            bench.run, output=output, profile=args.profile, engine=args.engine, **common
+        )
+    return _run_campaigns(args, [("bench", None, run)])
 
 
-def _cache_command(args) -> int:
+def _crashtest(args) -> int:
+    run = partial(crashtest.run, points_per_pair=args.crash_points, seed=args.seed)
+    return _run_campaigns(args, [("crashtest", None, run)])
+
+
+def _faultsweep(args) -> int:
+    key = f"faultsweep|seed={args.seed}|points={args.crash_points}|smoke={args.smoke}"
+    run = partial(
+        faultsweep.run,
+        points_per_pair=args.crash_points,
+        seed=args.seed,
+        output=args.fault_output,
+        smoke=args.smoke,
+        trace_output=args.trace_output,
+    )
+    return _run_campaigns(args, [("faultsweep", key, run)])
+
+
+def _litmus(args) -> int:
+    """``--scheme``: one registered design, or ``all``.  An unknown name
+    is a did-you-mean :class:`ConfigError` (exit 2), never a silent run
+    of every design."""
+    if args.scheme == "all":
+        schemes, key = litmus.LITMUS_SCHEMES, f"litmus|smoke={args.smoke}"
+    elif args.scheme in SchemeRegistry.names():
+        schemes = (args.scheme,)
+        key = f"litmus|smoke={args.smoke}|scheme={args.scheme}"
+    else:
+        raise SchemeRegistry.unknown_scheme_error(args.scheme)
+    run = partial(
+        litmus.run, schemes=schemes, smoke=args.smoke, output=args.litmus_output
+    )
+    return _run_campaigns(args, [("litmus", key, run)])
+
+
+def _trace(args) -> int:
+    run = partial(
+        tracecmd.run,
+        scheme=args.scheme,
+        workload=args.workload,
+        transactions=args.transactions,
+        output=args.trace_out,
+    )
+    return _run_campaigns(args, [("trace", None, run)])
+
+
+def _chaos(args) -> int:
+    from repro.harness import chaos
+
+    result = chaos.run(
+        smoke=args.smoke, jobs=args.jobs, seed=args.seed, output=args.chaos_output
+    )
+    return _print_report("chaos", result)
+
+
+def _replay(args) -> int:
+    return _print_report("replay", replay.run(args.spec))
+
+
+def _cache(args) -> int:
     cache = ResultCache(args.cache_dir)
     traces = TraceArtifactStore(args.cache_dir)
     if args.action == "clear":
@@ -723,112 +615,20 @@ def _cache_command(args) -> int:
     else:
         print(cache.format_stats())
         print(traces.format_stats())
-    return 0
+    return EXIT_OK
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["exp"]:
-        return _exp_main(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.experiment == "cache":
-        return _cache_command(args)
-    if args.action is not None:
-        parser.error("an action is only valid with the 'cache' command")
-    if args.experiment == "replay":
-        if not args.spec:
-            parser.error("replay needs --spec '<cell json>'")
-        try:
-            result = replay.run(args.spec)
-        except ConfigError as exc:
-            print(f"silo-repro: error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(result.format_report())
-        return EXIT_OK if result.passed else EXIT_FAILURE
-    if args.spec is not None:
-        parser.error("--spec is only valid with the 'replay' command")
-    if args.experiment == "chaos":
-        from repro.harness import chaos
-
-        result = chaos.run(
-            smoke=args.smoke,
-            jobs=args.jobs if args.jobs is not None else 2,
-            seed=args.seed,
-            output=args.chaos_output,
-        )
-        print(result.format_report())
-        return EXIT_OK if result.passed else EXIT_FAILURE
-    if args.resume and args.experiment not in ("faultsweep", "litmus"):
-        parser.error(
-            "--resume is only supported for 'faultsweep' and 'litmus' "
-            "here (and for 'silo-repro exp run')"
-        )
-    if args.resume and args.no_cache:
-        parser.error("--resume needs the result cache (drop --no-cache)")
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    trace_store = None if args.no_cache else TraceArtifactStore(args.cache_dir)
+    args = build_parser().parse_args(expand_aliases(argv))
     try:
-        cell_timeout = _parse_cell_timeout(args.cell_timeout)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"silo-repro: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    executor = Executor(
-        jobs=args.jobs,
-        cache=cache,
-        fresh=args.fresh,
-        progress=True,
-        batch=args.batch,
-        trace_store=trace_store,
-        cell_timeout=cell_timeout,
-        retries=args.retries,
-    )
-    names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    failures = 0
-    for name in names:
-        journal = None
-        if name in ("faultsweep", "litmus") and cache is not None:
-            campaign_key = (
-                f"faultsweep|seed={args.seed}|points={args.crash_points}"
-                f"|smoke={args.smoke}"
-                if name == "faultsweep"
-                else f"litmus|smoke={args.smoke}"
-                + ("" if args.scheme in (None, "all") else f"|scheme={args.scheme}")
-            )
-            try:
-                journal = _campaign_journal(args, campaign_key)
-            except ConfigError as exc:
-                print(f"silo-repro: error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        executor.journal = journal
-        started = time.time()
-        try:
-            result = _EXPERIMENTS[name](args, executor)
-        except CampaignInterrupted as exc:
-            return _report_interrupted(exc, name)
-        except ExecutionError as exc:
-            print(f"[{name} FAILED]\n{exc}", file=sys.stderr)
-            failures += 1
-            continue
-        except ConfigError as exc:
-            print(f"silo-repro: error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if journal is not None:
-            journal.discard()
-        print(result.format_report())
-        if getattr(result, "passed", True) is False:
-            # Validation sweeps (crashtest/faultsweep) fail the run on
-            # oracle violations, not only on raised cells.
-            print(f"[{name} FAILED: oracle violations]", file=sys.stderr)
-            failures += 1
-        stats = executor.stats
-        print(
-            f"[{name} completed in {time.time() - started:.1f}s; "
-            f"campaign: {stats.cells} cells, {stats.cache_hits} cached, "
-            f"{executor.jobs} jobs]\n"
-        )
-    return EXIT_FAILURE if failures else EXIT_OK
+    except ExecutionError as exc:
+        print(f"silo-repro: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

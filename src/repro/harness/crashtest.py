@@ -56,7 +56,7 @@ class CrashTestResult:
     #: ``(scheme, workload, crash_point, first mismatches)`` per failure.
     failure_details: List[Tuple[str, str, str, list]] = field(default_factory=list)
     #: One copy-pasteable replay command per failure, same order: a
-    #: failing randomized cell is re-runnable in isolation (--jobs 1).
+    #: failing randomized cell is re-runnable in isolation.
     failure_commands: List[str] = field(default_factory=list)
     per_scheme: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 

@@ -83,7 +83,7 @@ from repro.sim.engine import TransactionEngine
 from repro.sim.system import System
 from repro.sim.verify import check_atomic_durability
 from repro.trace.trace import Trace
-from repro.workloads.registry import build_workload
+from repro.workloads.registry import WORKLOADS, build_workload, unknown_workload_error
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +118,11 @@ class WorkloadSpec:
     def make(
         cls, name: str, threads: int, transactions: int, **kwargs: Any
     ) -> "WorkloadSpec":
+        """The canonical spec for ``name``; an unregistered name is a
+        did-you-mean :class:`ConfigError` here, when a campaign is
+        lowered, instead of a traceback inside a cell."""
+        if name not in WORKLOADS:
+            raise unknown_workload_error(name)
         return cls(
             name,
             threads,
@@ -1122,37 +1127,76 @@ def cell_spec_to_json(spec: CellSpec) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+#: The fields :func:`cell_spec_to_json` may emit, per JSON object.
+_SPEC_FIELDS = frozenset(
+    {
+        "workload", "scheme", "cores", "crash_plan", "fault_plan", "verify",
+        "repeats", "obs", "engine", "capture_image",
+    }
+)
+_WORKLOAD_FIELDS = frozenset({"name", "threads", "transactions", "kwargs"})
+_CRASH_FIELDS = frozenset({"at_op", "at_commit_of"})
+
+
+def _check_fields(what: str, data: Any, allowed: frozenset) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"cell spec: {what} must be a JSON object")
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ConfigError(
+            f"cell spec: unknown {what} field(s) {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(allowed))}"
+        )
+
+
 def cell_spec_from_json(text: str) -> CellSpec:
-    """Rebuild the cell a repro command names."""
-    data = json.loads(text)
-    w = data["workload"]
-    crash = data.get("crash_plan")
-    fault = data.get("fault_plan")
-    return CellSpec(
-        workload=WorkloadSpec.make(
-            w["name"], w["threads"], w["transactions"], **w.get("kwargs", {})
-        ),
-        scheme=data["scheme"],
-        cores=data["cores"],
-        crash_plan=(
-            CrashPlan(
-                at_op=crash.get("at_op"),
-                at_commit_of=(
-                    tuple(crash["at_commit_of"])
-                    if crash.get("at_commit_of") is not None
-                    else None
-                ),
-            )
-            if crash
-            else None
-        ),
-        fault_plan=FaultPlan.from_json_dict(fault) if fault else None,
-        verify=data.get("verify", False),
-        repeats=data.get("repeats", 1),
-        obs=ObsConfig.from_json_dict(data.get("obs")),
-        engine=data.get("engine", "exact"),
-        capture_image=data.get("capture_image", False),
-    )
+    """Rebuild the cell a repro command names.
+
+    Malformed JSON, unknown or missing fields and unregistered
+    workload/scheme names raise a one-line :class:`ConfigError`, never
+    a traceback.
+    """
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"cell spec is not valid JSON: {exc}") from None
+    _check_fields("spec", data, _SPEC_FIELDS)
+    try:
+        w = data["workload"]
+        _check_fields("workload", w, _WORKLOAD_FIELDS)
+        crash = data.get("crash_plan")
+        if crash:
+            _check_fields("crash_plan", crash, _CRASH_FIELDS)
+        fault = data.get("fault_plan")
+        return CellSpec(
+            workload=WorkloadSpec.make(
+                w["name"], w["threads"], w["transactions"], **w.get("kwargs", {})
+            ),
+            scheme=data["scheme"],
+            cores=data["cores"],
+            crash_plan=(
+                CrashPlan(
+                    at_op=crash.get("at_op"),
+                    at_commit_of=(
+                        tuple(crash["at_commit_of"])
+                        if crash.get("at_commit_of") is not None
+                        else None
+                    ),
+                )
+                if crash
+                else None
+            ),
+            fault_plan=FaultPlan.from_json_dict(fault) if fault else None,
+            verify=data.get("verify", False),
+            repeats=data.get("repeats", 1),
+            obs=ObsConfig.from_json_dict(data.get("obs")),
+            engine=data.get("engine", "exact"),
+            capture_image=data.get("capture_image", False),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"cell spec: missing field {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"cell spec: {exc}") from None
 
 
 def repro_command(spec: CellSpec) -> str:
@@ -1161,10 +1205,7 @@ def repro_command(spec: CellSpec) -> str:
     Printed whenever a randomized crashtest/faultsweep cell fails, so
     the failure is debuggable without re-running the whole campaign:
     the command re-executes exactly that (workload, scheme, crash
-    point, fault plan) with ``--jobs 1`` and prints the verdict.
+    point, fault plan) in-process and prints the verdict.
     """
     encoded = cell_spec_to_json(spec).replace("'", "'\\''")
-    return (
-        "PYTHONPATH=src python -m repro.harness replay "
-        f"--jobs 1 --spec '{encoded}'"
-    )
+    return f"PYTHONPATH=src python -m repro.harness replay --spec '{encoded}'"

@@ -15,6 +15,7 @@ from repro.harness.experiments.engine import (
     run_experiment,
 )
 from repro.harness.experiments.presentation import (
+    GridResult,
     NormalizedGridsResult,
     TableData,
     TabularResult,
@@ -40,6 +41,7 @@ __all__ = [
     "CATALOG_MODULES",
     "ExperimentRegistry",
     "ExperimentSpec",
+    "GridResult",
     "NormalizedGridsResult",
     "REGISTRY",
     "TableData",

@@ -23,6 +23,7 @@ from repro.harness.executor import (
     raise_on_failures,
     repro_command,
 )
+from repro.harness.experiments.presentation import GridResult
 from repro.harness.experiments.spec import Axis, Campaign, ExperimentSpec, Point
 from repro.obs import ObsConfig
 
@@ -200,16 +201,15 @@ def run_experiment(
     smoke: bool = False,
     **overrides: Any,
 ) -> Any:
-    """Run one experiment and return only its result object (the
-    historical ``<module>.run()`` contract)."""
+    """Run one experiment and return only its result object: the
+    Python entry point for any registered study, e.g.
+    ``run_experiment(fig11.SPEC, core_counts=(1, 8))``."""
     return run_campaign(spec, executor=executor, smoke=smoke, **overrides)[0]
 
 
-def grids_from_campaign(campaign: Campaign) -> Dict[int, "Any"]:
+def grids_from_campaign(campaign: Campaign) -> Dict[int, GridResult]:
     """Reassemble ``{cores: GridResult}`` from a (cores, workload,
     scheme) campaign — the fig11/fig12 shape."""
-    from repro.harness.runner import GridResult
-
     grids: Dict[int, GridResult] = {}
     for point, outcome in campaign.cells():
         grid = grids.setdefault(point["cores"], GridResult(cores=point["cores"]))

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     ClassVar,
     Dict,
     List,
@@ -25,9 +24,7 @@ from typing import (
 
 from repro.common.errors import ConfigError
 from repro.harness.report import format_bars, format_grouped_bars, format_table
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.harness.runner import GridResult
+from repro.sim.results import RunResult
 
 
 # ----------------------------------------------------------------------
@@ -212,10 +209,30 @@ def format_phase_table(phases: Mapping[str, int]) -> List[List[object]]:
 
 
 # ----------------------------------------------------------------------
-# Normalization helpers (the one copy)
+# Result grids and their normalization helpers (the one copy)
 # ----------------------------------------------------------------------
+@dataclass
+class GridResult:
+    """Results of a (workload, scheme) grid at one core count."""
+
+    cores: int
+    #: ``results[workload][scheme]``
+    results: Dict[str, Dict[str, RunResult]] = field(default_factory=dict)
+
+    def metric(self, workload: str, scheme: str, name: str) -> float:
+        result = self.results[workload][scheme]
+        return float(getattr(result, name))
+
+    def workloads(self) -> List[str]:
+        return list(self.results)
+
+    def schemes(self) -> List[str]:
+        first = next(iter(self.results.values()))
+        return list(first)
+
+
 def normalize_to(
-    grid: "GridResult", metric: str, baseline: str = "base"
+    grid: GridResult, metric: str, baseline: str = "base"
 ) -> Dict[str, Dict[str, float]]:
     """``{workload: {scheme: metric / metric(baseline)}}``."""
     out: Dict[str, Dict[str, float]] = {}
@@ -282,7 +299,7 @@ class NormalizedGridsResult(TabularResult):
     to carry copy-pasted bodies of everything below).
     """
 
-    grids: Dict[int, "GridResult"]
+    grids: Dict[int, GridResult]
 
     metric: ClassVar[str] = ""
     report_title: ClassVar[str] = ""

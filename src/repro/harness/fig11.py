@@ -9,22 +9,34 @@ word-granular in-place updates in the on-PM buffer).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Tuple
 
-from repro.harness.executor import CellSpec, Executor, WorkloadSpec
+from repro.harness.executor import CellSpec, WorkloadSpec
 from repro.harness.experiments import (
     REGISTRY,
     Axis,
     ExperimentSpec,
     NormalizedGridsResult,
     grids_from_campaign,
-    run_experiment,
 )
-from repro.harness.runner import (
-    DEFAULT_SCHEMES,
-    DEFAULT_TRANSACTIONS,
-    DEFAULT_WORKLOADS,
+
+#: The evaluated designs, in the paper's plotting order.
+DEFAULT_SCHEMES: Tuple[str, ...] = ("base", "fwb", "morlog", "lad", "silo")
+
+#: The Fig. 11/12 benchmarks, in the paper's plotting order.
+DEFAULT_WORKLOADS: Tuple[str, ...] = (
+    "array",
+    "btree",
+    "hash",
+    "queue",
+    "rbtree",
+    "tpcc",
+    "ycsb",
 )
+
+#: Default transactions per thread: large enough for stable ratios,
+#: small enough that the full grid runs in minutes of Python.
+DEFAULT_TRANSACTIONS = 200
 
 
 class Fig11Result(NormalizedGridsResult):
@@ -67,21 +79,3 @@ SPEC = REGISTRY.register(
         assemble=lambda p, c: Fig11Result(grids=grids_from_campaign(c)),
     )
 )
-
-
-def run(
-    core_counts: Sequence[int] = (1, 2, 4, 8),
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    transactions: int = DEFAULT_TRANSACTIONS,
-    executor: Optional[Executor] = None,
-) -> Fig11Result:
-    """Run the full write-traffic grid as one executor campaign."""
-    return run_experiment(
-        SPEC,
-        executor=executor,
-        core_counts=tuple(core_counts),
-        schemes=tuple(schemes),
-        workloads=tuple(workloads),
-        transactions=transactions,
-    )

@@ -9,18 +9,15 @@ path has no persist ordering to queue behind.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.harness.executor import CellSpec, Executor, WorkloadSpec
+from repro.harness.executor import CellSpec, WorkloadSpec
 from repro.harness.experiments import (
     REGISTRY,
     Axis,
     ExperimentSpec,
     NormalizedGridsResult,
     grids_from_campaign,
-    run_experiment,
 )
-from repro.harness.runner import (
+from repro.harness.fig11 import (
     DEFAULT_SCHEMES,
     DEFAULT_TRANSACTIONS,
     DEFAULT_WORKLOADS,
@@ -67,21 +64,3 @@ SPEC = REGISTRY.register(
         assemble=lambda p, c: Fig12Result(grids=grids_from_campaign(c)),
     )
 )
-
-
-def run(
-    core_counts: Sequence[int] = (1, 2, 4, 8),
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    transactions: int = DEFAULT_TRANSACTIONS,
-    executor: Optional[Executor] = None,
-) -> Fig12Result:
-    """Run the full throughput grid as one executor campaign."""
-    return run_experiment(
-        SPEC,
-        executor=executor,
-        core_counts=tuple(core_counts),
-        schemes=tuple(schemes),
-        workloads=tuple(workloads),
-        transactions=transactions,
-    )

@@ -15,19 +15,18 @@ sizes the 20-entry log buffer — reached by Hash-like workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.config import SystemConfig
-from repro.harness.executor import CellSpec, Executor, WorkloadSpec
+from repro.harness.executor import CellSpec, WorkloadSpec
 from repro.harness.experiments import (
     REGISTRY,
     Axis,
     ExperimentSpec,
     TableData,
     TabularResult,
-    run_experiment,
 )
-from repro.harness.runner import DEFAULT_TRANSACTIONS
+from repro.harness.fig11 import DEFAULT_TRANSACTIONS
 
 #: Benchmarks of Fig. 13, with TPCC in its all-five-types variant.
 FIG13_WORKLOADS: Tuple[str, ...] = (
@@ -137,19 +136,3 @@ SPEC = REGISTRY.register(
         ),
     )
 )
-
-
-def run(
-    threads: int = 8,
-    transactions: int = DEFAULT_TRANSACTIONS,
-    workloads: Sequence[str] = FIG13_WORKLOADS,
-    executor: Optional[Executor] = None,
-) -> Fig13Result:
-    """Measure total and remaining log counts for every workload."""
-    return run_experiment(
-        SPEC,
-        executor=executor,
-        threads=threads,
-        transactions=transactions,
-        workloads=tuple(workloads),
-    )

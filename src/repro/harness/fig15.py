@@ -12,10 +12,10 @@ path, so even a 128-cycle buffer costs only a few percent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.config import SystemConfig
-from repro.harness.executor import CellSpec, Executor, WorkloadSpec
+from repro.harness.executor import CellSpec, WorkloadSpec
 from repro.harness.experiments import (
     REGISTRY,
     Axis,
@@ -23,7 +23,6 @@ from repro.harness.experiments import (
     TableData,
     TabularResult,
     normalize_series,
-    run_experiment,
 )
 
 FIG15_WORKLOADS: Tuple[str, ...] = (
@@ -112,21 +111,3 @@ SPEC = REGISTRY.register(
         ),
     )
 )
-
-
-def run(
-    threads: int = 8,
-    transactions: int = 150,
-    workloads: Sequence[str] = FIG15_WORKLOADS,
-    latencies: Sequence[int] = LATENCIES,
-    executor: Optional[Executor] = None,
-) -> Fig15Result:
-    """Sweep the log buffer latency for every workload."""
-    return run_experiment(
-        SPEC,
-        executor=executor,
-        threads=threads,
-        transactions=transactions,
-        workloads=tuple(workloads),
-        latencies=tuple(latencies),
-    )

@@ -12,17 +12,16 @@ invert the ordering).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.config import SystemConfig
-from repro.harness.executor import CellSpec, Executor, WorkloadSpec
+from repro.harness.executor import CellSpec, WorkloadSpec
 from repro.harness.experiments import (
     REGISTRY,
     Axis,
     ExperimentSpec,
     TableData,
     TabularResult,
-    run_experiment,
 )
 
 SWEEP_CHANNELS: Tuple[int, ...] = (1, 2, 4)
@@ -99,20 +98,3 @@ SPEC = REGISTRY.register(
         ),
     )
 )
-
-
-def run(
-    threads: int = 8,
-    transactions: int = 120,
-    workloads: Sequence[str] = ("hash", "queue", "tpcc"),
-    channels: Sequence[int] = SWEEP_CHANNELS,
-    executor: Optional[Executor] = None,
-) -> MCSweepResult:
-    return run_experiment(
-        SPEC,
-        executor=executor,
-        threads=threads,
-        transactions=transactions,
-        workloads=tuple(workloads),
-        channels=tuple(channels),
-    )

@@ -15,17 +15,15 @@ writes).  The expected shape follows the designs' logging volume:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.common.config import SystemConfig
-from repro.harness.executor import CellSpec, Executor, WorkloadSpec
+from repro.harness.executor import CellSpec, WorkloadSpec
 from repro.harness.experiments import (
     REGISTRY,
     Axis,
     ExperimentSpec,
     TableData,
     TabularResult,
-    run_experiment,
 )
 from repro.sim.crash import CrashPlan
 
@@ -147,25 +145,3 @@ SPEC = REGISTRY.register(
         ),
     )
 )
-
-
-def run(
-    workload: str = "hash",
-    threads: int = 2,
-    transactions: int = 60,
-    crash_fraction: float = 0.6,
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    config: Optional[SystemConfig] = None,
-    executor: Optional[Executor] = None,
-) -> RecoveryCostResult:
-    """Crash every design at the same trace point and compare recovery."""
-    return run_experiment(
-        SPEC,
-        executor=executor,
-        workload=workload,
-        threads=threads,
-        transactions=transactions,
-        crash_fraction=crash_fraction,
-        schemes=tuple(schemes),
-        config=config,
-    )

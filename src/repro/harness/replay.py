@@ -1,23 +1,25 @@
-"""Replay one crashtest/faultsweep cell in isolation.
+"""Replay one campaign cell in isolation.
 
-``silo-repro replay --jobs 1 --spec '<json>'`` re-executes exactly the
-cell a failing campaign printed — same workload recipe, scheme, crash
-point and fault plan — in the calling process, then prints the full
-verdict (recovery report, injected/reported fault accounting, oracle
-mismatches).  This is the debugging entry point for randomized sweeps:
-a failure is reproducible without re-running the campaign.
+``silo-repro replay --spec '<json>'`` re-executes exactly the cell a
+failing campaign (crashtest, faultsweep, litmus, or a ``--partial``
+experiment hole) printed — same workload recipe, scheme, crash point
+and fault plan — in the calling process, bypassing the result cache,
+then prints the full verdict (recovery report, injected/reported fault
+accounting, oracle mismatches).  This is the debugging entry point for
+randomized sweeps: a failure is reproducible without re-running the
+campaign.  A malformed ``--spec`` is a one-line
+:class:`~repro.common.errors.ConfigError` (exit 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.harness.executor import (
     CellOutcome,
     CellSpec,
     cell_spec_from_json,
-    execute_cell,
+    run_cells,
 )
 
 
@@ -90,12 +92,10 @@ class ReplayResult:
         return "\n".join(lines)
 
 
-def run(spec_json: str, executor: Optional[object] = None) -> ReplayResult:
-    """Execute the cell encoded in ``spec_json`` in-process.
-
-    ``executor`` is accepted for CLI symmetry but unused: a replay is
-    always one cell at ``--jobs 1`` semantics, bypassing the cache so
-    the failure actually re-runs.
-    """
+def run(spec_json: str) -> ReplayResult:
+    """Execute the cell encoded in ``spec_json`` in-process, bypassing
+    the cache so the failure actually re-runs.  A cell that raises is
+    reported with its traceback in the verdict, not re-raised."""
     spec = cell_spec_from_json(spec_json)
-    return ReplayResult(spec=spec, outcome=execute_cell(spec))
+    (outcome,) = run_cells([spec], jobs=1)
+    return ReplayResult(spec=spec, outcome=outcome)

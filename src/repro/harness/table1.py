@@ -11,7 +11,6 @@ from repro.harness.experiments import (
     ExperimentSpec,
     TableData,
     TabularResult,
-    run_experiment,
 )
 
 
@@ -43,7 +42,3 @@ SPEC = REGISTRY.register(
         ),
     )
 )
-
-
-def run(cores: int = 8) -> Table1Result:
-    return run_experiment(SPEC, cores=cores)

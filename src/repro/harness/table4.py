@@ -17,7 +17,6 @@ from repro.harness.experiments import (
     ExperimentSpec,
     TableData,
     TabularResult,
-    run_experiment,
 )
 
 
@@ -67,7 +66,3 @@ SPEC = REGISTRY.register(
         assemble=lambda p, c: Table4Result(rows=table4(cores=p["cores"])),
     )
 )
-
-
-def run(cores: int = 8) -> Table4Result:
-    return run_experiment(SPEC, cores=cores)

@@ -31,7 +31,7 @@ from repro.sim.results import RunResult
 #: Default grid: small enough to trace in seconds, big enough that
 #: every event family (stalls, overflows, evictions) actually fires.
 DEFAULT_WORKLOAD = "hash"
-DEFAULT_TRANSACTIONS = 60
+DEFAULT_TRANSACTIONS = 100
 DEFAULT_CORES = 2
 
 

@@ -68,12 +68,24 @@ FIG4_WORKLOADS: List[str] = [
 ]
 
 
+def unknown_workload_error(name: str) -> ConfigError:
+    """A :class:`ConfigError` for an unregistered workload name, with a
+    did-you-mean suggestion when a registered name is close."""
+    import difflib
+
+    known = sorted(WORKLOADS)
+    message = f"unknown workload {name!r} (known: {', '.join(known)})"
+    close = difflib.get_close_matches(str(name).lower(), known, n=1, cutoff=0.6)
+    if close:
+        message += f" — did you mean {close[0]!r}?"
+    return ConfigError(message)
+
+
 def build_workload(name: str, threads: int = 8, transactions: int = 1000,
                    **kwargs) -> Trace:
     """Build a workload trace by registry name."""
     try:
         builder = WORKLOADS[name]
     except KeyError:
-        known = ", ".join(sorted(WORKLOADS))
-        raise ConfigError(f"unknown workload {name!r} (known: {known})") from None
+        raise unknown_workload_error(name) from None
     return builder(threads=threads, transactions=transactions, **kwargs)

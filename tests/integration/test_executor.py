@@ -24,7 +24,8 @@ from repro.harness.executor import (
     spec_key,
 )
 from repro.harness.resultcache import ResultCache
-from repro.harness.runner import run_grid
+from repro.harness import fig11
+from repro.harness.experiments import run_experiment
 from repro.sim.crash import CrashPlan
 
 
@@ -61,10 +62,13 @@ class TestEquivalence:
 
     def test_grid_identical_under_parallel_executor(self):
         kwargs = dict(
-            cores=2, schemes=("base", "silo"), workloads=("hash",), transactions=10
+            core_counts=(2,), schemes=("base", "silo"), workloads=("hash",),
+            transactions=10,
         )
-        serial = run_grid(**kwargs)
-        parallel = run_grid(executor=Executor(jobs=3), **kwargs)
+        serial = run_experiment(fig11.SPEC, **kwargs).grids[2]
+        parallel = run_experiment(
+            fig11.SPEC, executor=Executor(jobs=3), **kwargs
+        ).grids[2]
         for scheme in ("base", "silo"):
             a = serial.results["hash"][scheme]
             b = parallel.results["hash"][scheme]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.config import SystemConfig
 from repro.harness import mcsweep
+from repro.harness.experiments import run_experiment
 from repro.harness.report import format_bars, format_grouped_bars
 from repro.sim.engine import run_trace
 from repro.workloads import build_workload
@@ -34,7 +35,8 @@ class TestSoftwareLoggingMotivation:
 class TestMCSweep:
     @pytest.fixture(scope="class")
     def result(self):
-        return mcsweep.run(
+        return run_experiment(
+        mcsweep.SPEC,
             threads=2, transactions=25, workloads=("hash",), channels=(1, 2)
         )
 
@@ -74,11 +76,13 @@ class TestCharts:
     def test_figure_charts_render(self):
         from repro.harness import fig11, fig12
 
-        r11 = fig11.run(
+        r11 = run_experiment(
+        fig11.SPEC,
             core_counts=(1,), schemes=("base", "silo"), workloads=("hash",),
             transactions=10,
         )
-        r12 = fig12.run(
+        r12 = run_experiment(
+        fig12.SPEC,
             core_counts=(1,), schemes=("base", "silo"), workloads=("hash",),
             transactions=10,
         )

@@ -5,10 +5,15 @@ import pytest
 from repro.harness import fig4, fig11, fig12, fig13, fig14, fig15, table1, table4
 from repro.harness.cli import main as cli_main
 from repro.harness.report import format_table
-from repro.harness.runner import add_average, normalize_to, run_grid
+from repro.harness.experiments import add_average, normalize_to, run_experiment
 
 TINY = dict(transactions=15)
 TWO_WORKLOADS = ("hash", "queue")
+
+
+def run_grid(cores, **params):
+    """One core count's (workload, scheme) grid of the fig11 study."""
+    return run_experiment(fig11.SPEC, core_counts=(cores,), **params).grids[cores]
 
 
 class TestRunner:
@@ -35,12 +40,15 @@ class TestRunner:
 
 class TestFigureDrivers:
     def test_fig4(self):
-        result = fig4.run(threads=1, transactions=20, workloads=("hash", "bank"))
+        result = run_experiment(
+            fig4.SPEC, threads=1, transactions=20, workloads=("hash", "bank")
+        )
         assert set(result.write_sizes) == {"hash", "bank"}
         assert "Fig. 4" in result.format_report()
 
     def test_fig11(self):
-        result = fig11.run(
+        result = run_experiment(
+        fig11.SPEC,
             core_counts=(1,), schemes=("base", "silo"), workloads=("hash",),
             transactions=15,
         )
@@ -49,7 +57,8 @@ class TestFigureDrivers:
         assert "write traffic" in result.format_report()
 
     def test_fig12(self):
-        result = fig12.run(
+        result = run_experiment(
+        fig12.SPEC,
             core_counts=(1,), schemes=("base", "silo"), workloads=("hash",),
             transactions=15,
         )
@@ -58,20 +67,24 @@ class TestFigureDrivers:
         assert "throughput" in result.format_report()
 
     def test_fig13(self):
-        result = fig13.run(threads=1, transactions=15, workloads=("array", "hash"))
+        result = run_experiment(
+            fig13.SPEC, threads=1, transactions=15, workloads=("array", "hash")
+        )
         assert result.counts["array"].reduction > 0.5
         assert result.counts["hash"].max_remaining > 0
         assert "remaining" in result.format_report()
 
     def test_fig14(self):
-        result = fig14.run(
+        result = run_experiment(
+        fig14.SPEC,
             threads=1, transactions=10, workloads=("hash",), multipliers=(1, 4)
         )
         assert result.write_traffic["hash"][1] == 1.0
         assert "Fig. 14" in result.format_report()
 
     def test_fig15(self):
-        result = fig15.run(
+        result = run_experiment(
+        fig15.SPEC,
             threads=1, transactions=15, workloads=("hash",), latencies=(8, 64)
         )
         assert result.throughput["hash"][8] == 1.0
@@ -79,11 +92,11 @@ class TestFigureDrivers:
         assert "latency" in result.format_report()
 
     def test_table1(self):
-        result = table1.run()
+        result = run_experiment(table1.SPEC)
         assert "Log buffer" in result.format_report()
 
     def test_table4(self):
-        result = table4.run()
+        result = run_experiment(table4.SPEC)
         report = result.format_report()
         assert "eADR" in report and "Silo" in report
 
@@ -109,16 +122,14 @@ class TestCLI:
         assert "Table IV" in out
 
     def test_cli_fig4_small(self, capsys):
-        assert cli_main(["fig4", "--transactions", "10"]) == 0
+        assert cli_main(["fig4", "--set", "transactions=10"]) == 0
         assert "write size" in capsys.readouterr().out
 
     @pytest.mark.parametrize("count", ["-5", "0"])
     def test_cli_fig4_rejects_non_positive_transactions(self, capsys, count):
-        with pytest.raises(SystemExit) as excinfo:
-            cli_main(["fig4", "--transactions", count])
-        assert excinfo.value.code == 2
+        assert cli_main(["fig4", "--set", f"transactions={count}"]) == 2
         captured = capsys.readouterr()
-        assert "--transactions" in captured.err
+        assert "'transactions'" in captured.err
         assert "write size" not in captured.out
 
     def test_cli_rejects_unknown(self):
@@ -131,25 +142,28 @@ class TestCLI:
 
     def test_cli_cache_clear(self, capsys):
         # Populate via a cached experiment run, then clear.
-        assert cli_main(["fig4", "--transactions", "10", "--jobs", "1"]) == 0
+        assert cli_main(["fig4", "--set", "transactions=10", "--jobs", "1"]) == 0
         assert cli_main(["cache", "clear"]) == 0
         assert "removed" in capsys.readouterr().out
 
     def test_cli_second_run_hits_cache(self, capsys):
-        assert cli_main(["fig4", "--transactions", "10", "--jobs", "1"]) == 0
+        argv = ["fig4", "--set", "transactions=10", "--jobs", "1"]
+        assert cli_main(argv) == 0
         first = capsys.readouterr().out
         assert "0 cached" in first
-        assert cli_main(["fig4", "--transactions", "10", "--jobs", "1"]) == 0
+        assert cli_main(argv) == 0
         assert "11 cached" in capsys.readouterr().out
 
-    def test_cli_rejects_action_without_cache(self):
-        with pytest.raises(SystemExit):
-            cli_main(["fig4", "clear"])
+    def test_cli_rejects_action_without_cache(self, capsys):
+        # ``fig4 clear`` is ``exp run fig4 clear``: 'clear' is not an
+        # experiment.
+        assert cli_main(["fig4", "clear"]) == 2
+        assert "unknown experiment 'clear'" in capsys.readouterr().err
 
     def test_cli_parallel_jobs(self, capsys):
         assert (
             cli_main(
-                ["fig4", "--transactions", "10", "--jobs", "2", "--no-cache"]
+                ["fig4", "--set", "transactions=10", "--jobs", "2", "--no-cache"]
             )
             == 0
         )

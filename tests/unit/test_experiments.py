@@ -147,6 +147,32 @@ class TestLowering:
         assert points == [{}]
         assert cells == [None]
 
+    def test_unknown_workload_rejected_at_lowering(self):
+        spec = _toy_spec()
+        params = spec.merged_params(overrides={"workloads": "nosuch"})
+        with pytest.raises(ConfigError, match="unknown workload 'nosuch'"):
+            lower(spec, params)
+
+
+class TestWorkloadSpecValidation:
+    def test_typo_suggests_the_registered_name(self):
+        with pytest.raises(ConfigError, match="did you mean 'btree'"):
+            WorkloadSpec.make("btre", threads=1, transactions=1)
+
+    def test_registered_name_keeps_its_content_address(self):
+        spec = WorkloadSpec.make("hash", threads=2, transactions=3, seed=7)
+        assert spec == WorkloadSpec("hash", 2, 3, (("seed", 7),))
+
+    def test_json_decoder_rejects_unknown_workload(self):
+        from repro.harness.executor import cell_spec_from_json
+
+        text = (
+            '{"workload": {"name": "nosuch", "threads": 1, "transactions": 1},'
+            ' "scheme": "silo", "cores": 1}'
+        )
+        with pytest.raises(ConfigError, match="unknown workload 'nosuch'"):
+            cell_spec_from_json(text)
+
 
 class TestEngine:
     def test_run_campaign_aligns_points_and_outcomes(self):
