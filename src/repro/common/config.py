@@ -90,6 +90,11 @@ class LogBufferConfig:
     def __post_init__(self) -> None:
         if self.entries <= 0:
             raise ConfigError("log buffer needs at least one entry")
+        if self.access_latency_cycles < 0:
+            raise ConfigError(
+                "log buffer access latency must be non-negative, got "
+                f"{self.access_latency_cycles}"
+            )
 
     @property
     def capacity_bytes(self) -> int:
@@ -128,6 +133,11 @@ class SystemConfig:
             raise ConfigError("need at least one core")
         if self.freq_ghz <= 0:
             raise ConfigError("frequency must be positive")
+        if self.memory_channels < 1:
+            raise ConfigError(
+                "need at least one memory channel, got "
+                f"{self.memory_channels}"
+            )
 
     @classmethod
     def table2(cls, cores: int = 8) -> "SystemConfig":

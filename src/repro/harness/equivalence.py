@@ -192,8 +192,10 @@ STRESS_CELLS = (
             seed=5,
         ),
         (
+            "base",
             "morlog",
             "fwb",
+            "lad",
             "silo",
             "swlog",
             "wrap",

@@ -33,18 +33,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Optional
 
 from repro.harness.resultcache import (
     MISS,
+    content_digest,
     default_cache_dir,
     load_pickle_hardened,
     source_fingerprint,
+    write_pickle_atomic,
 )
 
 #: Bump to orphan every journal after an incompatible layout change.
@@ -85,12 +84,7 @@ class CampaignJournal:
     # Addressing (same digest scheme as the result cache)
     # ------------------------------------------------------------------
     def digest(self, key: str) -> str:
-        h = hashlib.sha256()
-        h.update(f"v{_FORMAT_VERSION}\0".encode())
-        h.update(self.fingerprint.encode())
-        h.update(b"\0")
-        h.update(key.encode())
-        return h.hexdigest()
+        return content_digest(_FORMAT_VERSION, self.fingerprint, key)
 
     def _path(self, digest: str) -> Path:
         return self.root / f"{digest}.pkl"
@@ -109,21 +103,10 @@ class CampaignJournal:
 
     def put(self, key: str, outcome) -> None:
         """Checkpoint one completed outcome (atomic rename)."""
-        path = self._path(self.digest(key))
-        path.parent.mkdir(parents=True, exist_ok=True)
+        self.root.mkdir(parents=True, exist_ok=True)
         self._write_meta_once()
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(outcome, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-            self.writes += 1
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_pickle_atomic(self._path(self.digest(key)), outcome)
+        self.writes += 1
 
     def _write_meta_once(self) -> None:
         meta = self.root / "meta.json"

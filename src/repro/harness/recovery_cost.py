@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.common.errors import ConfigError
 from repro.harness.executor import CellSpec, WorkloadSpec
 from repro.harness.experiments import (
     REGISTRY,
@@ -92,13 +93,16 @@ def _workload_spec(p) -> WorkloadSpec:
 
 
 def _crash_at(p) -> int:
+    fraction = p["crash_fraction"]
+    if not isinstance(fraction, (int, float)) or not 0 <= fraction <= 1:
+        raise ConfigError(f"crash_fraction must lie in [0, 1], got {fraction!r}")
     # The trace build is memoized per process, so recomputing the
     # crash point for every scheme's cell costs one build total.
     trace = _workload_spec(p).build()
     total_ops = sum(
         len(tx.ops) + 2 for thread in trace.threads for tx in thread.transactions
     )
-    return int(total_ops * p["crash_fraction"])
+    return int(total_ops * fraction)
 
 
 def _row(point, outcome) -> RecoveryCostRow:

@@ -26,7 +26,7 @@ import pickle
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 #: Default cache directory, overridable via ``$SILO_CACHE_DIR``.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -91,6 +91,79 @@ def load_pickle_hardened(path: Path, label: str):
         return MISS
 
 
+def content_digest(version: int, fingerprint: str, key: str) -> str:
+    """The address of one store entry: SHA-256 over the store's format
+    ``version``, the source ``fingerprint`` and the canonical ``key``.
+    Shared by the result cache, the trace store and the journal."""
+    h = hashlib.sha256()
+    h.update(f"v{version}\0".encode())
+    h.update(fingerprint.encode())
+    h.update(b"\0")
+    h.update(key.encode())
+    return h.hexdigest()
+
+
+def write_pickle_atomic(path: Path, value) -> None:
+    """Pickle ``value`` to ``path`` through a temporary file in the same
+    directory and an atomic rename (last writer wins), so a killed
+    writer never leaves a truncated entry behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def objects_footprint(objects: Path) -> Tuple[int, int, int]:
+    """``(entries, bytes, quarantined)`` of a sharded ``objects/`` tree:
+    live ``*.pkl`` entries, their total size, and ``*.corrupt`` files."""
+    if not objects.is_dir():
+        return 0, 0, 0
+    entries = 0
+    total_bytes = 0
+    for path in objects.rglob("*.pkl"):
+        try:
+            total_bytes += path.stat().st_size
+        except OSError:
+            continue
+        entries += 1
+    quarantined = sum(1 for _ in objects.rglob("*.corrupt"))
+    return entries, total_bytes, quarantined
+
+
+def clear_objects(objects: Path) -> int:
+    """Delete every entry of a sharded ``objects/`` tree (quarantined
+    ones included) and its empty shards; returns how many live entries
+    were removed."""
+    if not objects.is_dir():
+        return 0
+    removed = 0
+    for path in objects.rglob("*.pkl"):
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            continue
+    for path in objects.rglob("*.corrupt"):
+        try:
+            path.unlink()
+        except OSError:
+            continue
+    for shard in sorted(objects.glob("*"), reverse=True):
+        try:
+            shard.rmdir()
+        except OSError:
+            continue
+    return removed
+
+
 def source_fingerprint(package_root: Optional[str] = None) -> str:
     """SHA-256 over the source of the ``repro`` package.
 
@@ -148,12 +221,7 @@ class ResultCache:
     # Addressing
     # ------------------------------------------------------------------
     def digest(self, key: str) -> str:
-        h = hashlib.sha256()
-        h.update(f"v{_FORMAT_VERSION}\0".encode())
-        h.update(self.fingerprint.encode())
-        h.update(b"\0")
-        h.update(key.encode())
-        return h.hexdigest()
+        return content_digest(_FORMAT_VERSION, self.fingerprint, key)
 
     def _path(self, digest: str) -> Path:
         return self.root / "objects" / digest[:2] / f"{digest}.pkl"
@@ -177,19 +245,7 @@ class ResultCache:
 
     def put(self, key: str, value) -> None:
         """Store ``value`` under ``key`` (atomic rename, last wins)."""
-        path = self._path(self.digest(key))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_pickle_atomic(self._path(self.digest(key)), value)
 
     # ------------------------------------------------------------------
     # Management
@@ -197,18 +253,9 @@ class ResultCache:
     def stats(self) -> Dict[str, object]:
         """Entry count and footprint of the directory, plus this
         process's hit/miss counters."""
-        entries = 0
-        total_bytes = 0
-        quarantined = 0
-        objects = self.root / "objects"
-        if objects.is_dir():
-            for path in objects.rglob("*.pkl"):
-                try:
-                    total_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                entries += 1
-            quarantined = sum(1 for _ in objects.rglob("*.corrupt"))
+        entries, total_bytes, quarantined = objects_footprint(
+            self.root / "objects"
+        )
         return {
             "root": str(self.root),
             "entries": entries,
@@ -222,27 +269,7 @@ class ResultCache:
     def clear(self) -> int:
         """Delete every entry (quarantined ones included); returns how
         many live entries were removed."""
-        removed = 0
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return 0
-        for path in objects.rglob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        for path in objects.rglob("*.corrupt"):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-        for shard in sorted(objects.glob("*"), reverse=True):
-            try:
-                shard.rmdir()
-            except OSError:
-                continue
-        return removed
+        return clear_objects(self.root / "objects")
 
     def format_stats(self) -> str:
         s = self.stats()

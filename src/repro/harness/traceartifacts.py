@@ -36,16 +36,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.harness.resultcache import (
     MISS,
+    clear_objects,
+    content_digest,
     default_cache_dir,
     load_pickle_hardened,
+    objects_footprint,
+    write_pickle_atomic,
 )
 from repro.sim.columnar import (
     DECODE_VERSION,
@@ -212,12 +213,7 @@ class TraceArtifactStore:
         )
 
     def digest(self, key: str) -> str:
-        h = hashlib.sha256()
-        h.update(f"v{_FORMAT_VERSION}\0".encode())
-        h.update(self.fingerprint.encode())
-        h.update(b"\0")
-        h.update(key.encode())
-        return h.hexdigest()
+        return content_digest(_FORMAT_VERSION, self.fingerprint, key)
 
     def _path(self, digest: str) -> Path:
         return self.root / "objects" / digest[:2] / f"{digest}.pkl"
@@ -250,23 +246,9 @@ class TraceArtifactStore:
 
     def put(self, spec: Any, trace: Trace) -> None:
         """Store the artifact (atomic rename, last wins)."""
-        path = self._path(self.digest(self.key(spec)))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(
-                    _columns_from_trace(trace),
-                    fh,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_pickle_atomic(
+            self._path(self.digest(self.key(spec))), _columns_from_trace(trace)
+        )
 
     def ensure(self, spec: Any, trace: Trace) -> None:
         """Serialize an already-built ``trace`` for ``spec`` unless its
@@ -295,16 +277,7 @@ class TraceArtifactStore:
     # Management
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        entries = 0
-        total_bytes = 0
-        objects = self.root / "objects"
-        if objects.is_dir():
-            for path in objects.rglob("*.pkl"):
-                try:
-                    total_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                entries += 1
+        entries, total_bytes, _ = objects_footprint(self.root / "objects")
         return {
             "root": str(self.root),
             "entries": entries,
@@ -316,27 +289,7 @@ class TraceArtifactStore:
         }
 
     def clear(self) -> int:
-        removed = 0
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return 0
-        for path in objects.rglob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        for path in objects.rglob("*.corrupt"):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-        for shard in sorted(objects.glob("*"), reverse=True):
-            try:
-                shard.rmdir()
-            except OSError:
-                continue
-        return removed
+        return clear_objects(self.root / "objects")
 
     def format_stats(self) -> str:
         s = self.stats()

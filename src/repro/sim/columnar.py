@@ -24,19 +24,28 @@ order is *identical* to the exact engine's, so every timestamped
 side effect (WPQ admission, bank scheduling, on-PM buffer LRU, cache
 evictions, scheme state) is reproduced bit-for-bit.
 
-Fused kernels.  Per core, a scheme-specialized stepper executes the
-Store/Load/TxBegin/TxEnd hot paths with the per-op call tree of the
-exact engine flattened into straight-line code over hoisted locals:
-the L1-hit probe, the MC write path (WPQ prune/admit, channel bus,
-bank heap), the on-PM buffer fast paths and the media's
-data-comparison-write run inline against the *live* simulator state.
-Cacheline eviction storms (dirty L3 victims surfacing mid-epoch) run
-through a fused eviction kernel instead of the exact ``on_evictions``
-hook, and the morlog/fwb end-of-run ``finalize`` data flushes run
-through :func:`_fused_finalize` before ``TransactionEngine._finish``
-(leaving the schemes' own finalize a natural no-op over
-already-cleared state).  All of them submit through one shared factory
-of fused MC+PM helpers, :func:`_make_submit_kernel`.
+Fused kernels.  Per core, one op loop (:func:`_make_stepper`) runs
+the Store/Load/TxBegin/TxEnd hot paths with the per-op call tree of
+the exact engine flattened into straight-line code over hoisted
+locals, against the *live* simulator state.  The loop is written once
+and owns what every design shares: the epoch horizon, the L1-hit
+probe and the hierarchy miss path, static and dynamic old values,
+loads, the txid bookkeeping and the write-back of the core's state.
+What a design does on top comes from its kernel, one per
+``DesignSpec.columnar_profile`` (:data:`_KERNELS`: ``wal_base`` and
+``wal_fwb``, ``silo``, ``morlog``, ``lad``, ``swlog``, ``wrap``,
+``policy``): ``store``, ``commit``, ``evict`` and ``flush`` closures
+plus an optional ``begin``, in which the MC write path (WPQ
+prune/admit, channel bus, bank heap), the on-PM buffer fast paths and
+the media's data-comparison-write run inline.  Cacheline eviction
+storms (dirty L3 victims surfacing mid-epoch) run through the
+kernel's ``evict`` instead of the exact ``on_evictions`` hook, and the
+morlog/fwb end-of-run ``finalize`` data flushes run through
+:func:`_fused_finalize` before ``TransactionEngine._finish`` (leaving
+the schemes' own finalize a natural no-op over already-cleared
+state).  All of them submit through one shared factory of fused MC+PM
+helpers, :func:`_make_submit_kernel`; the WAL kernel keeps its own
+static log layout (:func:`_log_pass`) and virgin-sector submits.
 Counter increments are accumulated in closure integers and flushed
 once at the end of the run; every flush is value-guarded so the final
 counter key set matches the exact engine's exactly (a
@@ -54,23 +63,27 @@ Exact-engine fallback.  Three levels:
   spec-driven aglog, quadra1f, trinity2f, redolog4f), whose silo
   ablation flags are non-default, or whose thread id has no valid log
   area runs entirely through ``TransactionEngine._step`` (same global
-  order, same results, no speedup).  ``unfused_design:<name>`` is left
-  for a new policy spec without the ``policy`` columnar profile, or a
-  :class:`PolicyScheme` subclass that overrides a lifecycle hook.
-* **Op fallback** — a fused stepper returns the op to
+  order, same results, no speedup).  Each kernel names a reference
+  class and the hooks and helpers of it that it inlines; a scheme
+  class with its own spec that is not the reference class, or
+  overrides one of those, falls back as ``unfused_design:<name>``, as
+  does a :class:`PolicyScheme` spec without a fused profile.
+* **Op fallback** — a fused kernel returns the op to
   ``TransactionEngine._step`` unconsumed when it cannot prove the
   fast path identical (op outside a transaction, address outside the
-  48-bit log-entry field, a write-through request whose on-PM buffer
-  line is already resident and must coalesce, unknown op kinds).
-  Paths where the exact engine would raise are also routed here so
-  the exception (and its message) comes from the exact code.
+  48-bit log-entry field, unknown op kinds).  Paths where the exact
+  engine would raise are also routed here so the exception (and its
+  message) comes from the exact code.  A write-through request whose
+  on-PM buffer line is already resident and must coalesce is not an
+  op fallback: the submit kernel runs that one request through the
+  exact memory-controller path.
 
 Every fallback is tallied under a reason tag — ``core:<why>`` when a
-whole core runs generic (the stepper factories return the reason
-string instead of a kernel), ``op:<why>`` keyed off the op kind for
-mid-epoch per-op fallbacks — exposed as ``fallback_reasons`` in
-:meth:`ColumnarEngine.engine_stats` so kernel-coverage regressions
-are visible in benchmarks and CI.
+whole core runs generic (:func:`_kernel_for` or the kernel factory
+returns the reason string instead of closures), ``op:<why>`` keyed
+off the op kind for mid-epoch per-op fallbacks — exposed as
+``fallback_reasons`` in :meth:`ColumnarEngine.engine_stats` so
+kernel-coverage regressions are visible in benchmarks and CI.
 
 Determinism argument.  The fused kernels mutate the same objects the
 exact engine would (media image, on-PM buffer, WPQ/bank heaps, cache
@@ -87,20 +100,29 @@ the exact engine's post-truncation end state.
 from __future__ import annotations
 
 import gc
+from functools import partial
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.common.constants import ONPM_LINE_SIZE, OVERFLOW_BATCH_ENTRIES, WORD_MASK
+from repro.common.constants import (
+    LINE_SIZE,
+    ONPM_LINE_SIZE,
+    OVERFLOW_BATCH_ENTRIES,
+    WORD_MASK,
+)
 from repro.common.errors import AddressError
-from repro.core.silo import _CONTROLLER_QUEUE_CYCLES
+from repro.core.silo import _CONTROLLER_QUEUE_CYCLES, SiloScheme
+from repro.designs.base import BaseScheme
 from repro.designs.fwb import FWB_INTERVAL_CYCLES, FWBScheme
-from repro.designs.lad import CAPTURE_LINES, PREPARE_CYCLES_PER_LINE
+from repro.designs.lad import CAPTURE_LINES, PREPARE_CYCLES_PER_LINE, LADScheme
 from repro.designs.morlog import MORPH_BUFFER_ENTRIES, MorLogScheme
 from repro.designs.policy import SPILL_BATCH, STAGING_ENTRIES, PolicyScheme
-from repro.designs.swlog import FENCE_CYCLES, LOG_BUILD_CYCLES
+from repro.designs.swlog import FENCE_CYCLES, LOG_BUILD_CYCLES, SoftwareLogScheme
+from repro.designs.wrap import WrAPScheme
 from repro.hwlog.entry import LogEntry
+from repro.mem.address import split_words_by_line
 from repro.sim.engine import TransactionEngine
 from repro.trace.ops import Load, Store, TxBegin, TxEnd
 
@@ -127,7 +149,7 @@ _INF = float("inf")
 #   3 Load                8 exact-engine op (store outside tx /
 #   4 Store, dynamic old     unknown op kind; the exact engine raises)
 
-#: Fallback-reason tag per op kind, for ops a fused stepper hands back
+#: Fallback-reason tag per op kind, for ops the fused op loop hands back
 #: to the exact engine mid-epoch (indexed by the kind column above).
 _OP_REASON = (
     "op:tx_state",  # 0 TxBegin (silo regeneration guard)
@@ -480,488 +502,9 @@ def _log_pass(pre, cpre, tid, lbase, larea):
     return _LogPre(la_col, pre2_col, cur_te, cur, media, wear, n_static, nz)
 
 
-def _make_wal_stepper(exact, idx, core, cpre, pre, is_fwb):
-    """Fused stepper for the per-store WAL designs (base, fwb) with a
-    fully static log layout.
-
-    Requires the virgin-log-area precondition (see :func:`_log_pass`)
-    plus a zero starting cursor; otherwise returns a fallback-reason
-    string and every op of the core runs through the exact engine
-    (rare, correct, slow).
-    Under it the per-store hot path is pure timing arithmetic: the
-    static entries' media words/wear/counters are applied in bulk at
-    flush time, and the log submit does not even need the entry's
-    address (one four-word request to one virgin sector, always).
-
-    Base additionally fuses the per-store data write-back: every base
-    store cleans its cacheline immediately, loads never dirty lines
-    and L3/L2 copies are therefore always clean, so the exact
-    engine's ``writeback_line`` merge is statically the singleton
-    ``{addr: value}`` of the store itself and the probe loop (plain
-    ``get``, no LRU side effects) can be skipped.
-
-    No fused op here ever falls back mid-core: kind-8 ops raise
-    inside the exact engine before touching engine state, so the
-    stepper's deferred cursor/sequence bookkeeping (synced before
-    every bound ``persist_commit_tuple`` call and at every epoch
-    boundary) never interleaves with exact-path log writes.
-    """
-    scheme = exact.scheme
-    system = exact.system
-    tid = core.tid
-    region = system.region
-    try:
-        lbase, larea = region.layout.thread_log_area(tid)
-    except AddressError:
-        return "no_log_area"
-    if region._cursor.get(tid, 0) != 0:
-        return "log_cursor_in_use"
-    cached = cpre.log
-    if cached is not None and cached[0] == lbase and cached[1] == larea:
-        lp = cached[2]
-    else:
-        lp = _log_pass(pre, cpre, tid, lbase, larea)
-        cpre.log = (lbase, larea, lp)
-    if lp is None:
-        return "wal_layout"
-
-    kinds = cpre.kinds
-    addrs = cpre.addrs
-    vals = cpre.vals
-    la_col = lp.la
-    pre2_col = lp.pre2
-    cur_te = lp.cur_te
-    n_ops = core.n_ops
-
-    # ---------------------------------------------------------- hoists
-    mc = system.mc
-    chan = idx % mc.channels
-    wpq_heap = mc._wpq_heaps[chan]
-    wpq_cap = mc._wpq_capacity
-    chfree = mc._channel_free
-    banks = mc._bank_free[chan]
-    BUS = mc._bus_overhead
-    BEAT = mc._bus_beat
-    WSERV = mc._write_service
-    BUS1 = BUS + BEAT  # data singleton
-    BUS2 = BUS + 2 * BEAT  # commit tuple
-    BUS4 = BUS + 4 * BEAT  # log entry
-
-    pm = system.pm
-    onpm = pm.buffer
-    onpm_lines = onpm._lines
-    onpm_cap = onpm._capacity
-    evict_lru = onpm._evict_lru
-    media_words = pm.media._words
-    media_get = media_words.get
-    wear = pm.media._sector_wear
-    wear_get = wear.get
-
-    hier = system.hierarchy
-    l1 = hier._l1[idx]
-    l1_sets = l1._sets
-    l1_shift = l1._line_shift
-    l1_nsets = l1._num_sets
-    k_l1_hits = l1._k_hits
-    LAT_L1 = hier._lat_l1
-    line_mask = hier._line_mask
-    hier_store = exact._hier_store
-    hier_load = exact._hier_load
-    read_contention = exact._read_contention
-
-    rcur = region._cursor
-    records = region._records
-    persist_commit_tuple = region.persist_commit_tuple
-
-    counters = system.stats.counters
-    current = exact._current
-    current_get = current.get
-    committed_add = exact._committed.add
-    OPOV = exact._op_overhead
-    M = WORD_MASK
-
-    tld = scheme._tx_log_done
-    if is_fwb:
-        log_ready = scheme._log_ready
-        lr_get = log_ready.get
-        fwb_dirty_add = scheme._dirty_lines[idx].add
-        owner = scheme._owner
-        mfwb = scheme._maybe_force_writeback
-        await_truncate_append = scheme._await_truncate.append
-
-    # ------------------------------------------------- accumulators
-    a_l1_hits = 0
-    a_wpq_stall = 0
-    a_med_lines = 0  # dynamic entries + commit tuples (static in bulk)
-    a_med_words = 0
-    a_med_redund = 0
-    a_committed = 0
-    ns = 0  # fused log entries (static + dynamic)
-    n_te = 0  # fused commit tuples
-    # Eviction storms (fwb; base lines are always clean) post each
-    # dirty victim through the shared kernel.
-    _, posted_submit, flush_submit = _make_submit_kernel(system, idx)
-    posted_data = _make_posted_evict(posted_submit)
-
-    def step(limit_t, limit_i):
-        nonlocal a_l1_hits, a_wpq_stall
-        nonlocal a_med_lines, a_med_words, a_med_redund
-        nonlocal a_committed, ns, n_te
-        pc = core.pc
-        now = core.time
-        in_tx = core.in_tx
-        txid = core.txid
-        tx_index = core.tx_index
-        tldv = tld[idx]
-        pend = 0  # region._seq increments deferred within this epoch
-        lim = limit_t if idx < limit_i else limit_t - 1
-        try:
-            while True:
-                if pc >= n_ops:
-                    return _DONE
-                if now > lim:
-                    return _YIELD
-                k = kinds[pc]
-                cost = OPOV
-                if k == 2 or k == 4 or k == 5:  # ------------- Store
-                    a = addrs[pc]
-                    v = vals[pc]
-                    base = a & line_mask
-                    bucket = l1_sets[(base >> l1_shift) % l1_nsets]
-                    line = bucket.get(base)
-                    if line is not None:
-                        bucket.move_to_end(base)
-                        a_l1_hits += 1
-                        cost += LAT_L1
-                        dw = line.dirty_words
-                        dw[a] = v
-                    else:
-                        access = hier_store(idx, a, v)
-                        cost += access.latency
-                        if access.hit_level == "pm":
-                            cost += read_contention(a, now, idx)
-                        wbs = access.writebacks
-                        if wbs:
-                            cost += posted_data(now, wbs)
-                        dw = bucket[base].dirty_words
-                    if k == 2:
-                        # Static entry: media words/wear precomputed
-                        # (bulk-applied at flush).
-                        pass
-                    else:
-                        old = current_get(a)
-                        if old is None:
-                            old = media_get(a, 0)
-                        la = la_col[pc]
-                        p = (pre2_col[pc] ^ ((old & M) * _K1)) | 1
-                        # Virgin sector: a word changes iff non-zero,
-                        # and the first payload word is odd.
-                        media_words[la] = p & M
-                        changed = 1
-                        w = (p + 1) & M
-                        if w:
-                            media_words[la + 8] = w
-                            changed += 1
-                        w = (p + 2) & M
-                        if w:
-                            media_words[la + 16] = w
-                            changed += 1
-                        w = (p + 3) & M
-                        if w:
-                            media_words[la + 24] = w
-                            changed += 1
-                        a_med_lines += 1
-                        a_med_words += changed
-                        sec = la >> 6
-                        wear[sec] = wear_get(sec, 0) + 1
-                        current[a] = v
-                    pend += 1
-                    ns += 1
-                    # Log submit: one 4-word request, one sector (plus
-                    # capacity-victim sectors when the on-PM buffer is
-                    # full — fwb's posted data lines; base never fills
-                    # it).  The log line itself is never resident.
-                    extra = 0
-                    if onpm_lines and len(onpm_lines) >= onpm_cap:
-                        extra = evict_lru()
-                    while wpq_heap and wpq_heap[0] <= now:
-                        heappop(wpq_heap)
-                    if len(wpq_heap) < wpq_cap:
-                        adm = now
-                    else:
-                        adm = wpq_heap[0]
-                        a_wpq_stall += adm - now
-                        cost += adm - now
-                    busy = chfree[chan]
-                    start = adm if adm > busy else busy
-                    persisted = start + BUS4
-                    chfree[chan] = persisted
-                    log_done = persisted
-                    for _ in range(extra + 1):
-                        free = banks[0]
-                        begin = persisted if persisted > free else free
-                        log_done = begin + WSERV
-                        heapreplace(banks, log_done)
-                    heappush(wpq_heap, log_done)
-                    if is_fwb:
-                        if log_done > lr_get(base, 0):
-                            log_ready[base] = log_done
-                        if log_done > tldv:
-                            tldv = log_done
-                        fwb_dirty_add(base)
-                        owner[base] = idx
-                        if now - scheme._last_fwb >= FWB_INTERVAL_CYCLES:
-                            # mfwb flushes lines and truncates records;
-                            # it reads neither the seq nor the cursor,
-                            # so the deferred sync can wait.
-                            cost += mfwb(idx, now)
-                    else:
-                        # base: immediate write-through of the line's
-                        # dirty words — statically {a: v}.
-                        dw.clear()
-                        if media_get(a, 0) != v:
-                            media_words[a] = v
-                            a_med_lines += 1
-                            a_med_words += 1
-                            sec = a >> 6
-                            wear[sec] = wear_get(sec, 0) + 1
-                            dsec = 1
-                        else:
-                            a_med_redund += 1
-                            dsec = 0
-                        extra = 0
-                        if onpm_lines and len(onpm_lines) >= onpm_cap:
-                            extra = evict_lru()
-                        dsec += extra
-                        while wpq_heap and wpq_heap[0] <= now:
-                            heappop(wpq_heap)
-                        if len(wpq_heap) < wpq_cap:
-                            adm = now
-                        else:
-                            adm = wpq_heap[0]
-                            a_wpq_stall += adm - now
-                            cost += adm - now
-                        busy = chfree[chan]
-                        start = adm if adm > busy else busy
-                        persisted = start + BUS1
-                        chfree[chan] = persisted
-                        media_done = persisted
-                        if dsec:
-                            for _ in range(dsec):
-                                free = banks[0]
-                                begin = (
-                                    persisted if persisted > free else free
-                                )
-                                media_done = begin + WSERV
-                                heapreplace(banks, media_done)
-                        heappush(wpq_heap, media_done)
-                        if log_done > tldv:
-                            tldv = log_done
-                elif k == 3:  # ------------------------------- Load
-                    a = addrs[pc]
-                    base = a & line_mask
-                    bucket = l1_sets[(base >> l1_shift) % l1_nsets]
-                    line = bucket.get(base)
-                    if line is not None:
-                        bucket.move_to_end(base)
-                        a_l1_hits += 1
-                        cost += LAT_L1
-                    else:
-                        access = hier_load(idx, a)
-                        cost += access.latency
-                        if access.hit_level == "pm":
-                            cost += read_contention(a, now, idx)
-                        wbs = access.writebacks
-                        if wbs:
-                            cost += posted_data(now, wbs)
-                elif k == 0 or k == 6:  # ------------------- TxBegin
-                    tx_index += 1
-                    txid = (tx_index % 65535) + 1
-                    in_tx = True
-                elif k == 1 or k == 7:  # --------------------- TxEnd
-                    stall = tldv - now
-                    if stall < 0:
-                        stall = 0
-                    # Sync the deferred log state: the bound tuple
-                    # call reads the global seq and this tid's cursor.
-                    if pend:
-                        region._seq += pend
-                        pend = 0
-                    rcur[tid] = cur_te[pc]
-                    words = persist_commit_tuple(tid, txid)
-                    t2 = now + stall
-                    n_te += 1
-                    wit = iter(words.items())
-                    wa0, wv0 = next(wit)
-                    wa1, wv1 = next(wit)
-                    changed = 0
-                    if wv0:
-                        media_words[wa0] = wv0
-                        changed = 1
-                    if wv1:
-                        media_words[wa1] = wv1
-                        changed += 1
-                    if changed:
-                        a_med_lines += 1
-                        a_med_words += changed
-                        sec = wa0 >> 6
-                        wear[sec] = wear_get(sec, 0) + 1
-                        dsec = 1
-                    else:
-                        a_med_redund += 1
-                        dsec = 0
-                    extra = 0
-                    if onpm_lines and len(onpm_lines) >= onpm_cap:
-                        extra = evict_lru()
-                    dsec += extra
-                    while wpq_heap and wpq_heap[0] <= t2:
-                        heappop(wpq_heap)
-                    if len(wpq_heap) < wpq_cap:
-                        adm = t2
-                    else:
-                        adm = wpq_heap[0]
-                        a_wpq_stall += adm - t2
-                        stall += adm - t2
-                    busy = chfree[chan]
-                    start = adm if adm > busy else busy
-                    persisted = start + BUS2
-                    chfree[chan] = persisted
-                    media_done = persisted
-                    if dsec:
-                        for _ in range(dsec):
-                            free = banks[0]
-                            begin = persisted if persisted > free else free
-                            media_done = begin + WSERV
-                            heapreplace(banks, media_done)
-                    heappush(wpq_heap, media_done)
-                    stall += media_done - t2
-                    tldv = 0
-                    if is_fwb:
-                        await_truncate_append((tid, txid))
-                    # base: the exact engine's discard_tx here is a
-                    # no-op on the fused path (no records created).
-                    cost += stall
-                    in_tx = False
-                    committed_add((tid, tx_index))
-                    a_committed += 1
-                else:  # kind 8: exact raises SimulationError
-                    return _EXACT
-                pc += 1
-                now += cost
-        finally:
-            core.pc = pc
-            core.time = now
-            core.in_tx = in_tx
-            core.txid = txid
-            core.tx_index = tx_index
-            tld[idx] = tldv
-            if pend:
-                region._seq += pend
-
-    def flush():
-        c = counters
-        if a_l1_hits:
-            c[k_l1_hits] += a_l1_hits
-        flush_submit(c)
-        n_log = ns + n_te
-        n_data = 0 if is_fwb else ns
-        mcw = n_log + n_data
-        if mcw:
-            c["mc.writes"] += mcw
-        if n_log:
-            c["mc.writes.log"] += n_log
-            c["pm.requests.log"] += n_log
-            c["pm.request_bytes.log"] += 32 * ns + 16 * n_te
-        if n_data:
-            c["mc.writes.data"] += n_data
-            c["pm.requests.data"] += n_data
-            c["pm.request_bytes.data"] += 8 * n_data
-        if a_wpq_stall:
-            c["mc.wpq_stall_cycles"] += a_wpq_stall
-        # Every fused write-through request hits the empty/absent fast
-        # path (one buffer request, one immediate eviction; capacity
-        # victims are accounted live by the bound ``_evict_lru``).
-        onr = n_log + n_data
-        if onr:
-            c["onpm.requests"] += onr
-            c["onpm.line_evictions"] += onr
-        coal = 3 * ns + n_te
-        if coal:
-            c["onpm.coalesced_words"] += coal
-        med_l = a_med_lines + lp.n_static
-        if med_l:
-            c["media.line_writes"] += med_l
-            c["media.sector_writes"] += med_l
-            c["media.word_writes"] += a_med_words + lp.nz_static
-        if a_med_redund:
-            c["media.redundant_line_writes"] += a_med_redund
-        if a_committed:
-            c["engine.committed"] += a_committed
-        if ns:
-            c["region.requests"] += ns
-            c["region.entries.undo_redo"] += ns
-            # The exact engine leaves the logging thread's record
-            # table present but empty after truncation.
-            records.setdefault(tid, {})
-            media_words.update(lp.media)
-            for sec2, cnt in lp.wear.items():
-                wear[sec2] = wear_get(sec2, 0) + cnt
-        if ns or n_te:
-            rcur[tid] = lp.end_cur
-
-    return step, flush
-
-
-def _make_stepper(exact, idx, core, cpre, pre):
-    """Build the fused ``(step, flush)`` pair for one core, or a
-    fallback-reason string when the scheme/core combination is not
-    eligible for fusion."""
-    scheme = exact.scheme
-    stype = type(scheme)
-    # Dispatch on the design's declared columnar profile.  The spec
-    # must be the class's *own* (``__dict__`` lookup): a subclass that
-    # merely inherits a fused design's spec has unknown hot-path
-    # behaviour and falls back to the exact engine.
-    spec = stype.__dict__.get("spec")
-    profile = spec.columnar_profile if spec is not None else None
-    if profile == "wal_base" or profile == "wal_fwb":
-        return _make_wal_stepper(exact, idx, core, cpre, pre,
-                                 profile == "wal_fwb")
-    if profile == "silo":
-        # Ablation configurations take different exact-engine branches
-        # (no merging / silent stores logged); only the paper's default
-        # configuration is fused.
-        if not all(b.merging for b in scheme._bufs):
-            return "silo_ablation"
-        if not all(g.ignore_silent for g in scheme._gens):
-            return "silo_ablation"
-        sk = 2
-    elif profile == "morlog":
-        sk = 3
-    elif profile == "lad":
-        sk = 4
-    elif profile == "swlog":
-        sk = 5
-    elif profile == "wrap":
-        sk = 6
-    elif isinstance(scheme, PolicyScheme):
-        if profile == "policy" and all(
-            getattr(stype, hook) is getattr(PolicyScheme, hook)
-            for hook in _POLICY_HOOKS
-        ):
-            return _make_policy_stepper(exact, idx, core, cpre)
-        # A new spec without the policy profile, or a subclass that
-        # overrides a lifecycle hook: attribute the fallback to the
-        # catalog entry, not the shared class.
-        return "unfused_design:" + scheme.name
-    else:
-        return "unfused_scheme:" + stype.__name__
-    return _make_buffered_stepper(exact, idx, core, cpre, sk)
-
-
 def _make_submit_kernel(system, idx):
     """Fused MC+PM submit helpers for core ``idx``, shared by every
-    fused stepper and the fused finalize.
+    fused kernel and the fused finalize.
 
     Returns ``(wt_submit, posted_submit, flush)``.  Both submit helpers
     return an ``(admission_stall, completion)`` pair and accumulate the
@@ -1213,47 +756,103 @@ def _make_posted_evict(posted_submit, in_tx=(), lines=()):
     return fused_evict
 
 
-def _make_buffered_stepper(exact, idx, core, cpre, sk):
-    """Fused stepper for the per-entry logging designs: silo
-    (``sk == 2``), morlog (``sk == 3``), lad (``sk == 4``), swlog
-    (``sk == 5``) and wrap (``sk == 6``)."""
-    scheme = exact.scheme
+# ----------------------------------------------------------------------
+# Shared pieces of the per-design kernels
+# ----------------------------------------------------------------------
+def _log_area(system, tid):
+    """``(lbase, larea)`` of the thread's log area, or the fallback
+    reason when the kernel's serializers cannot run for ``tid``."""
+    try:
+        area = system.region.layout.thread_log_area(tid)
+    except AddressError:
+        return "no_log_area"
+    if not 0 <= tid < 256:
+        # The kernels build LogEntry objects by slot assignment,
+        # bypassing the constructor's field validation; an oversized
+        # tid must raise from the exact path.
+        return "oversized_tid"
+    return area
+
+
+def _make_seal(region, tid, wt_submit):
+    """``seal_commit_fence`` fused: ``seal(txid, t)`` writes the
+    ``(tid, txid)`` tuple through at ``t`` and returns the fence stall
+    (admission plus the wait for the tuple to persist)."""
+    persist_commit_tuple = region.persist_commit_tuple
+
+    def seal(txid, t):
+        r = wt_submit(t, persist_commit_tuple(tid, txid))
+        return r[0] + (r[1] - t)
+
+    return seal
+
+
+def _flush_region(c, region, tid, requests, kind, entries):
+    """Value-guarded region counters of one fused core.  The exact
+    engine leaves a logging thread's record table present but empty
+    after commit/finalize truncation; the fused paths create no
+    records, so the empty table is recreated here."""
+    if requests:
+        c["region.requests"] += requests
+        c["region.entries." + kind] += entries
+        region._records.setdefault(tid, {})
+
+
+def _no_begin(k, txid):
+    return 0
+
+
+class _Ops(NamedTuple):
+    """One core's kernel closures, called by the op loop of
+    :func:`_make_stepper`.  ``store``, ``begin`` and ``commit`` return
+    the op's extra cycles, or ``None`` to hand the op to the exact
+    engine (``begin`` and ``commit`` must then not have changed any
+    state)."""
+
+    #: ``store(pc, addr, value, old, line_addr, now, txid)``, after
+    #: the cache access.
+    store: Callable
+    #: ``commit(pc, kind, now, txid)`` at TxEnd.
+    commit: Callable
+    #: ``evict(now, writebacks)``: dirty L3 victims of an access.
+    evict: Callable
+    #: ``flush(counters)`` once at the end of the run, value-guarded.
+    flush: Callable
+    #: ``begin(kind, txid)`` at TxBegin, with the new txid.
+    begin: Callable = _no_begin
+
+
+# ----------------------------------------------------------------------
+# The op loop
+# ----------------------------------------------------------------------
+def _make_stepper(exact, idx, core, cpre, pre, kernel):
+    """Build the fused ``(step, flush)`` pair for one core from its
+    design's :class:`_Kernel`, or return the kernel's fallback-reason
+    string.
+
+    The loop is written once for every design.  It owns the epoch
+    horizon, the L1-hit probe and the hierarchy miss path, static and
+    dynamic old values, loads, the txid bookkeeping, the write-back of
+    the core's state and the ``l1_hits``/``engine.committed`` counters;
+    the kernel's closures (:class:`_Ops`) add what the design does on
+    top.  Kind-5 stores reach ``store`` only for kernels that fuse
+    them; for every other kernel they go back to the exact engine
+    before the cache is touched.
+    """
+    ops = kernel.make(exact, idx, core, cpre, pre)
+    if isinstance(ops, str):
+        return ops
+    store, commit, evict, flush_kernel, begin = ops
     system = exact.system
     tid = core.tid
-    fuse_ovf = True
-    if sk != 2:
-        # The fused log serializers need the thread's log area.
-        try:
-            lbase, larea = system.region.layout.thread_log_area(tid)
-        except AddressError:
-            return "no_log_area"
-    else:
-        # Silo only touches the region on overflow; without a valid
-        # area the overflow falls back to the bound handler (which
-        # raises from the exact serializer, like the exact engine).
-        try:
-            lbase, larea = system.region.layout.thread_log_area(tid)
-        except AddressError:
-            lbase = larea = 0
-            fuse_ovf = False
-    if not 0 <= tid < 256:
-        # LogEntry.__new__ below bypasses the constructor's field
-        # validation; an oversized tid must raise from the exact path.
-        return "oversized_tid"
-
     kinds = cpre.kinds
     addrs = cpre.addrs
     vals = cpre.vals
     olds = cpre.olds
     n_ops = core.n_ops
+    FUSE5 = kernel.fuse_k5
 
-    # ------------------------------------------------------------------
-    # Hoisted live state (shared with the exact engine and all designs)
-    # ------------------------------------------------------------------
-    wt_submit, posted_submit, flush_submit = _make_submit_kernel(system, idx)
-    submit_read = system.mc.submit_read
     media_get = system.pm.media._words.get
-
     hier = system.hierarchy
     l1 = hier._l1[idx]
     l1_sets = l1._sets
@@ -1264,206 +863,19 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
     line_mask = hier._line_mask
     hier_store = exact._hier_store
     hier_load = exact._hier_load
-    writeback_line = hier.writeback_line
     read_contention = exact._read_contention
-    on_evictions = exact._scheme_on_evictions
-
-    region = system.region
-    rcur = region._cursor
-    rcur_get = rcur.get
-    records = region._records
-    persist_commit_tuple = region.persist_commit_tuple
 
     counters = system.stats.counters
     current = exact._current
     current_get = current.get
     committed_add = exact._committed.add
     OPOV = exact._op_overhead
-    M = WORD_MASK
-    new_entry = LogEntry.__new__
 
-    # ------------------------------------------------------------------
-    # Scheme-specific hoists
-    # ------------------------------------------------------------------
-    if sk == 2:
-        gen = scheme._gens[idx]
-        buf = scheme._bufs[idx]
-        sentries = buf._entries
-        sentries_get = sentries.get
-        k_buf_merged = buf._k_merged
-        k_buf_appended = buf._k_appended
-        k_buf_peak = buf._k_peak
-        SILO_CAP = scheme._buf_capacity
-        BUF_LAT = scheme._buf_latency
-        controller_free = scheme._controller_free
-        last_store = scheme._last_store
-        tx_total = scheme._tx_total
-        overflowed = scheme._overflowed
-        overflowed_add = overflowed.add
-        handle_overflow = scheme._handle_overflow
-        discard_tx = region.discard_tx
-        tx_log_counts_append = scheme.tx_log_counts.append
-        HANDSHAKE = system.config.commit_handshake_cycles
-        spop = sentries.popitem
-        OB = scheme._overflow_batch
-        OLINE = ONPM_LINE_SIZE
-        if OB > OVERFLOW_BATCH_ENTRIES:
-            # A larger batch would serialize as several requests; keep
-            # the single-request fusion for the paper configuration.
-            fuse_ovf = False
-    if sk == 3:
-        mbuf = scheme._bufs[idx]
-        mentries = mbuf._entries
-        mentries_get = mentries.get
-        mpop = mentries.popitem
-        k_mbuf_merged = mbuf._k_merged
-        k_mbuf_appended = mbuf._k_appended
-        k_mbuf_peak = mbuf._k_peak
-        flush_oldest = scheme._flush_oldest
-        mlog_ready = scheme._log_ready
-        mlr_get = mlog_ready.get
-        ml_unpersisted_add = scheme._unpersisted_lines[idx].add
-        ml_unpersisted_discard = scheme._unpersisted_lines[idx].discard
-        ml_dirty_add = scheme._dirty_lines[idx].add
-        await_truncate = scheme._await_truncate
-    if sk == 4:
-        slots = scheme._slots
-        slots_discard = slots.discard
-        captured = scheme._captured
-        captured_pop = captured.pop
-        tx_lines = scheme._tx_lines[idx]
-        fb_lines = scheme._fallback_lines[idx]
-        fb_txs = scheme._fallback_txs
-        lad_in_tx = scheme._in_tx
-        HANDSHAKE = system.config.commit_handshake_cycles
-    if sk == 5:
-        sw_data_done = scheme._tx_data_done
-    if sk == 6:
-        wr_log_done = scheme._tx_log_done
-        wr_entries = scheme._tx_entries[idx]
-        wr_entries_append = wr_entries.append
-        wr_uncommitted = scheme._uncommitted_lines
-        wr_my_unc = wr_uncommitted[idx]
-        wr_my_unc_add = wr_my_unc.add
-        wr_in_tx = scheme._in_tx
-
-    # ------------------------------------------------------------------
-    # Counter accumulators (flushed once, value-guarded)
-    # ------------------------------------------------------------------
     a_l1_hits = 0
     a_committed = 0
-    a_reg_req = 0
-    a_reg_ur = 0
-    a_reg_undo = 0
-    logged_any = False
-    # silo
-    a_seen = 0
-    a_ignored = 0
-    a_entries = 0
-    a_merged = 0
-    a_appended = 0
-    a_peak = 0
-    a_flushdisc = 0
-    a_inplace = 0
-    a_ncommits = 0
-    a_ovf = 0
-    a_ovf_entries = 0
-    # lad
-    a_captured = 0
-    a_fallbacks = 0
-    # wrap
-    a_reg_redo = 0
-    a_wrap_reads = 0
 
-    # ------------------------------------------------------------------
-    # Fused eviction kernel.  Dirty L3 victims surfacing mid-epoch run
-    # the scheme's ``on_evictions`` semantics inline: every fused
-    # design posts its victim lines through ``posted_submit`` (the
-    # exact hook's ``submit_write(kind="data")`` + admission stall),
-    # with the scheme-specific twists replicated per ``sk``.
-    # ------------------------------------------------------------------
-    if sk == 2:
-        # Silo additionally sets the flush bit on buffered entries
-        # whose words just reached PM (live counters, like the exact
-        # hook; all buffers are merging dicts in the fused config).
-        silo_bufs = scheme._bufs
-
-        def fused_evict(t, wbs):
-            stall = 0
-            for _lb, words in wbs:
-                r = posted_submit(t, words)
-                stall += r[0]
-                for buf2 in silo_bufs:
-                    entries2 = buf2._entries
-                    if not entries2:
-                        continue
-                    marked = 0
-                    lookup = entries2.get
-                    for wa in words:
-                        e2 = lookup(wa)
-                        if e2 is not None and not e2.flush_bit:
-                            e2.flush_bit = True
-                            marked += 1
-                    if marked:
-                        counters[buf2._k_flush_bits] += marked
-            return stall
-
-    elif sk == 3:
-        # Morlog must persist a victim line's buffered log entries
-        # before its data leaves the cache domain (log-before-data);
-        # that rare path runs the exact hook for the whole batch.
-        ml_unpersisted_all = scheme._unpersisted_lines
-
-        def fused_evict(t, wbs):
-            for lb, _w in wbs:
-                for s2 in ml_unpersisted_all:
-                    if lb in s2:
-                        return on_evictions(idx, t, wbs)
-            stall = 0
-            for _lb, words in wbs:
-                r = posted_submit(t, words)
-                stall += r[0]
-            return stall
-
-    elif sk == 4:
-        # LAD absorbs victims of captured lines into the slot's merge
-        # dict (no PM traffic, no stall).
-        def fused_evict(t, wbs):
-            stall = 0
-            for lb, words in wbs:
-                if lb in slots:
-                    c2 = captured.get(lb)
-                    if c2 is None:
-                        captured[lb] = dict(words)
-                    else:
-                        c2.update(words)
-                else:
-                    r = posted_submit(t, words)
-                    stall += r[0]
-            return stall
-
-    elif sk == 6:
-        # WrAP drops victims of lines belonging to open transactions
-        # (the redo log is the durable copy).
-        fused_evict = _make_posted_evict(
-            posted_submit, wr_in_tx, wr_uncommitted
-        )
-
-    else:
-        # swlog: the default LoggingScheme hook.
-        fused_evict = _make_posted_evict(posted_submit)
-
-    # ------------------------------------------------------------------
-    # The fused stepper
-    # ------------------------------------------------------------------
     def step(limit_t, limit_i):
-        nonlocal a_l1_hits
-        nonlocal a_committed, a_reg_req, a_reg_ur, a_reg_undo, logged_any
-        nonlocal a_seen, a_ignored, a_entries, a_merged, a_appended
-        nonlocal a_peak, a_flushdisc, a_inplace, a_ncommits
-        nonlocal a_ovf, a_ovf_entries
-        nonlocal a_captured, a_fallbacks
-        nonlocal a_reg_redo, a_wrap_reads
+        nonlocal a_l1_hits, a_committed
         pc = core.pc
         now = core.time
         in_tx = core.in_tx
@@ -1482,7 +894,7 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
                     return _YIELD
                 k = kinds[pc]
                 cost = OPOV
-                if k == 2 or k == 4:  # --------------------------- Store
+                if k == 2 or k == 4 or (k == 5 and FUSE5):  # ------ Store
                     a = addrs[pc]
                     v = vals[pc]
                     if k == 2:
@@ -1506,321 +918,11 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
                             cost += read_contention(a, now, idx)
                         wbs = access.writebacks
                         if wbs:
-                            cost += fused_evict(now, wbs)
-
-                    if sk == 2:  # silo
-                        tx_total[idx] += 1
-                        last_store[idx] = now
-                        a_seen += 1
-                        if old == v:
-                            a_ignored += 1
-                        else:
-                            a_entries += 1
-                            e = sentries_get(a)
-                            if e is not None:
-                                if e.tid != tid or e.txid != txid:
-                                    return _EXACT  # exact raises
-                                e.new = v & M
-                                a_merged += 1
-                            else:
-                                if len(sentries) >= SILO_CAP:
-                                    if fuse_ovf:
-                                        # _handle_overflow fused: pop
-                                        # the oldest batch, serialize
-                                        # the undo halves as one
-                                        # 256-byte-window posted log
-                                        # request, post unflushed new
-                                        # data per cacheline.
-                                        cf = controller_free[idx]
-                                        ostall = (
-                                            cf - now
-                                            - _CONTROLLER_QUEUE_CYCLES
-                                        )
-                                        if ostall < 0:
-                                            ostall = 0
-                                        start = now + ostall + BUF_LAT
-                                        nb = len(sentries)
-                                        if nb > OB:
-                                            nb = OB
-                                        new_data = {}
-                                        cursor = rcur_get(tid, 0)
-                                        rem = cursor % OLINE
-                                        if rem:
-                                            cursor += OLINE - rem
-                                        words = {}
-                                        for _ in range(nb):
-                                            e2 = spop(last=False)[1]
-                                            if not e2.flush_bit:
-                                                new_data[e2.addr] = e2.new
-                                                e2.flush_bit = True
-                                            la = lbase + (cursor % larea)
-                                            e2.log_addr = la
-                                            p = (
-                                                (e2.tid << 56)
-                                                ^ (e2.txid << 40)
-                                                ^ e2.addr
-                                                ^ (e2.old * _K1)
-                                                ^ (e2.new * _K2)
-                                            ) | 1
-                                            w = la & -8
-                                            end = la + 18
-                                            while w < end:
-                                                words[w] = p & M
-                                                p += 1
-                                                w += 8
-                                            cursor += 18
-                                        rcur[tid] = cursor
-                                        region._seq += nb
-                                        a_reg_req += 1
-                                        a_reg_undo += nb
-                                        logged_any = True
-                                        r = posted_submit(
-                                            start, words, True
-                                        )
-                                        free = r[1]
-                                        if free < start:
-                                            free = start
-                                        if new_data:
-                                            grouped = {}
-                                            for ea, ev in new_data.items():
-                                                gb = ea & line_mask
-                                                g = grouped.get(gb)
-                                                if g is None:
-                                                    grouped[gb] = {ea: ev}
-                                                else:
-                                                    g[ea] = ev
-                                            for w2 in grouped.values():
-                                                r = posted_submit(
-                                                    start, w2
-                                                )
-                                                if r[1] > free:
-                                                    free = r[1]
-                                        back = free - BUF_LAT
-                                        if back > controller_free[idx]:
-                                            controller_free[idx] = back
-                                        overflowed_add((tid, txid))
-                                        a_ovf += 1
-                                        a_ovf_entries += nb
-                                        cost += ostall
-                                    else:
-                                        cost += handle_overflow(
-                                            idx, tid, txid, now
-                                        )
-                                e = new_entry(LogEntry)
-                                e.tid = tid
-                                e.txid = txid
-                                e.addr = a
-                                e.old = old & M
-                                e.new = v & M
-                                e.flush_bit = False
-                                e.log_addr = 0
-                                sentries[a] = e
-                                a_appended += 1
-                                occ = len(sentries)
-                                if occ > a_peak:
-                                    a_peak = occ
-                    elif sk == 3:  # morlog
-                        e = mentries_get(a)
-                        if e is not None:
-                            if e.tid != tid or e.txid != txid:
-                                return _EXACT  # exact raises
-                            e.new = v & M
-                            a_merged += 1
-                        else:
-                            if len(mentries) >= MORPH_BUFFER_ENTRIES:
-                                # _flush_oldest fused: pop the two
-                                # oldest, serialize as one 64-byte
-                                # pair request, write through.
-                                e0 = mpop(last=False)[1]
-                                e1 = mpop(last=False)[1]
-                                cursor = rcur_get(tid, 0)
-                                rem = cursor & 63
-                                if rem:
-                                    cursor += 64 - rem
-                                la = lbase + (cursor % larea)
-                                p = (
-                                    (e0.tid << 56)
-                                    ^ (e0.txid << 40)
-                                    ^ e0.addr
-                                    ^ (e0.old * _K1)
-                                    ^ (e0.new * _K2)
-                                ) | 1
-                                words = {
-                                    la: p & M,
-                                    la + 8: (p + 1) & M,
-                                    la + 16: (p + 2) & M,
-                                    la + 24: (p + 3) & M,
-                                }
-                                cursor += 26
-                                la1 = lbase + (cursor % larea)
-                                p1 = (
-                                    (e1.tid << 56)
-                                    ^ (e1.txid << 40)
-                                    ^ e1.addr
-                                    ^ (e1.old * _K1)
-                                    ^ (e1.new * _K2)
-                                ) | 1
-                                w = la1 & -8
-                                end = la1 + 26
-                                while w < end:
-                                    words[w] = p1 & M
-                                    p1 += 1
-                                    w += 8
-                                cursor += 26
-                                rcur[tid] = cursor
-                                region._seq += 2
-                                a_reg_req += 1
-                                a_reg_ur += 2
-                                logged_any = True
-                                r = wt_submit(now, words)
-                                cost += r[0]
-                                fdone = r[1]
-                                for e2 in (e0, e1):
-                                    ln = e2.addr & -64
-                                    if fdone > mlr_get(ln, 0):
-                                        mlog_ready[ln] = fdone
-                                    ml_unpersisted_discard(ln)
-                            e = new_entry(LogEntry)
-                            e.tid = tid
-                            e.txid = txid
-                            e.addr = a
-                            e.old = old & M
-                            e.new = v & M
-                            e.flush_bit = False
-                            e.log_addr = 0
-                            mentries[a] = e
-                            a_appended += 1
-                            occ = len(mentries)
-                            if occ > a_peak:
-                                a_peak = occ
-                        ml_unpersisted_add(base)
-                        ml_dirty_add(base)
-                    elif sk == 4:  # lad
-                        if base not in tx_lines:
-                            tx_lines.add(base)
-                            if len(slots) < CAPTURE_LINES:
-                                slots.add(base)
-                                a_captured += 1
-                            else:
-                                fb_lines.add(base)
-                                fb_txs.add((tid, txid))
-                                a_fallbacks += 1
-                                read_done = submit_read(
-                                    now, base, channel=idx
-                                )
-                                cost += read_done - now
-                        if base in fb_lines:
-                            # one undo entry: aligned cursor, 18-byte
-                            # slot -> three payload words
-                            cursor = rcur_get(tid, 0)
-                            rem = cursor & 63
-                            if rem:
-                                cursor += 64 - rem
-                            la = lbase + (cursor % larea)
-                            p = (
-                                (tid << 56)
-                                ^ (txid << 40)
-                                ^ a
-                                ^ ((old & M) * _K1)
-                                ^ ((v & M) * _K2)
-                            ) | 1
-                            words = {
-                                la: p & M,
-                                la + 8: (p + 1) & M,
-                                la + 16: (p + 2) & M,
-                            }
-                            rcur[tid] = cursor + 18
-                            region._seq += 1
-                            a_reg_req += 1
-                            a_reg_undo += 1
-                            logged_any = True
-                            r = wt_submit(now, words)
-                            cost += r[0] + (r[1] - now)
-                    elif sk == 5:  # swlog
-                        # Build the entry (inline CPU work), persist
-                        # one 26-byte undo+redo record (span-64
-                        # cursor -> the line's first four words),
-                        # clwb+sfence it, then write the data line
-                        # through and fence again.
-                        stall = LOG_BUILD_CYCLES
-                        cursor = rcur_get(tid, 0)
-                        rem = cursor & 63
-                        if rem:
-                            cursor += 64 - rem
-                        la = lbase + (cursor % larea)
-                        p = (
-                            (tid << 56)
-                            ^ (txid << 40)
-                            ^ a
-                            ^ ((old & M) * _K1)
-                            ^ ((v & M) * _K2)
-                        ) | 1
-                        words = {
-                            la: p & M,
-                            la + 8: (p + 1) & M,
-                            la + 16: (p + 2) & M,
-                            la + 24: (p + 3) & M,
-                        }
-                        rcur[tid] = cursor + 26
-                        region._seq += 1
-                        a_reg_req += 1
-                        a_reg_ur += 1
-                        logged_any = True
-                        t2 = now + stall
-                        r = wt_submit(t2, words)
-                        stall += r[0] + (r[1] - t2) + FENCE_CYCLES
-                        lw = writeback_line(idx, base)
-                        if lw:
-                            t2 = now + stall
-                            r = wt_submit(t2, lw, False)
-                            stall += r[0] + (r[1] - t2)
-                        stall += FENCE_CYCLES
-                        t2 = now + stall
-                        if t2 > sw_data_done[idx]:
-                            sw_data_done[idx] = t2
-                        cost += stall
-                    else:  # wrap
-                        # One 18-byte redo record (span-64 cursor ->
-                        # three words) written through; commit waits
-                        # on the persist, the store itself only pays
-                        # the admission stall.
-                        cursor = rcur_get(tid, 0)
-                        rem = cursor & 63
-                        if rem:
-                            cursor += 64 - rem
-                        la = lbase + (cursor % larea)
-                        p = (
-                            (tid << 56)
-                            ^ (txid << 40)
-                            ^ a
-                            ^ ((old & M) * _K1)
-                            ^ ((v & M) * _K2)
-                        ) | 1
-                        words = {
-                            la: p & M,
-                            la + 8: (p + 1) & M,
-                            la + 16: (p + 2) & M,
-                        }
-                        rcur[tid] = cursor + 18
-                        region._seq += 1
-                        a_reg_req += 1
-                        a_reg_redo += 1
-                        logged_any = True
-                        r = wt_submit(now, words)
-                        cost += r[0]
-                        pd = r[1]
-                        if pd > wr_log_done[idx]:
-                            wr_log_done[idx] = pd
-                        e = new_entry(LogEntry)
-                        e.tid = tid
-                        e.txid = txid
-                        e.addr = a
-                        e.old = old & M
-                        e.new = v & M
-                        e.flush_bit = False
-                        e.log_addr = la
-                        wr_entries_append(e)
-                        wr_my_unc_add(base)
+                            cost += evict(now, wbs)
+                    extra = store(pc, a, v, old, base, now, txid)
+                    if extra is None:
+                        return _EXACT  # the exact engine raises here
+                    cost += extra
                     current[a] = v
                 elif k == 3:  # ---------------------------------- Load
                     a = addrs[pc]
@@ -1838,213 +940,25 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
                             cost += read_contention(a, now, idx)
                         wbs = access.writebacks
                         if wbs:
-                            cost += fused_evict(now, wbs)
+                            cost += evict(now, wbs)
                 elif k == 0 or k == 6:  # --------------------- TxBegin
-                    if sk == 2 and (k == 6 or gen._txid is not None):
-                        return _EXACT  # exact raises TransactionError
+                    extra = begin(k, ((tx_index + 1) % 65535) + 1)
+                    if extra is None:
+                        return _EXACT
+                    cost += extra
                     tx_index += 1
                     txid = (tx_index % 65535) + 1
                     in_tx = True
-                    if sk == 2:
-                        gen._txid_register = txid
-                        gen._tid = tid
-                        gen._txid = txid
-                        tx_total[idx] = 0
-                    elif sk == 4:
-                        lad_in_tx[idx] = True
-                    elif sk == 6:
-                        wr_in_tx[idx] = True
                 elif k == 1 or k == 7:  # ----------------------- TxEnd
-                    if sk == 2:  # silo
-                        if k == 7 or gen._txid is None:
-                            return _EXACT  # exact raises
-                        gen._tid = None
-                        gen._txid = None
-                        tx_log_counts_append(
-                            (tx_total[idx], len(sentries))
-                        )
-                        stall = HANDSHAKE
-                        cf = controller_free[idx]
-                        backlog = cf - now
-                        if backlog > _CONTROLLER_QUEUE_CYCLES:
-                            stall += backlog - _CONTROLLER_QUEUE_CYCLES
-                        drained = list(sentries.values())
-                        sentries.clear()
-                        discarded = 0
-                        new_data = {}
-                        for e in drained:
-                            if e.flush_bit:
-                                discarded += 1
-                            else:
-                                new_data[e.addr] = e.new
-                        if discarded:
-                            a_flushdisc += discarded
-                        start = (now if now > cf else cf) + BUF_LAT
-                        free = start
-                        if new_data:
-                            grouped = {}
-                            for ea, ev in new_data.items():
-                                gb = ea & line_mask
-                                g = grouped.get(gb)
-                                if g is None:
-                                    grouped[gb] = {ea: ev}
-                                else:
-                                    g[ea] = ev
-                            for w2 in grouped.values():
-                                r = posted_submit(start, w2)
-                                if r[1] > free:
-                                    free = r[1]
-                        back = free - BUF_LAT
-                        if back > controller_free[idx]:
-                            controller_free[idx] = back
-                        a_inplace += len(new_data)
-                        a_ncommits += 1
-                        if (tid, txid) in overflowed:
-                            overflowed.discard((tid, txid))
-                            discard_tx(tid, txid)
-                        cost += stall
-                    elif sk == 3:  # morlog
-                        drained = list(mentries.values())
-                        mentries.clear()
-                        flush_stall = 0
-                        done = now
-                        if drained:
-                            cursor = rcur_get(tid, 0)
-                            n = len(drained)
-                            i2 = 0
-                            while i2 < n:
-                                e0 = drained[i2]
-                                rem = cursor & 63
-                                if rem:
-                                    cursor += 64 - rem
-                                la = lbase + (cursor % larea)
-                                p = (
-                                    (e0.tid << 56)
-                                    ^ (e0.txid << 40)
-                                    ^ e0.addr
-                                    ^ (e0.old * _K1)
-                                    ^ (e0.new * _K2)
-                                ) | 1
-                                words = {
-                                    la: p & M,
-                                    la + 8: (p + 1) & M,
-                                    la + 16: (p + 2) & M,
-                                    la + 24: (p + 3) & M,
-                                }
-                                cursor += 26
-                                region._seq += 1
-                                if i2 + 1 < n:
-                                    e1 = drained[i2 + 1]
-                                    la1 = lbase + (cursor % larea)
-                                    p1 = (
-                                        (e1.tid << 56)
-                                        ^ (e1.txid << 40)
-                                        ^ e1.addr
-                                        ^ (e1.old * _K1)
-                                        ^ (e1.new * _K2)
-                                    ) | 1
-                                    w = la1 & -8
-                                    end = la1 + 26
-                                    while w < end:
-                                        words[w] = p1 & M
-                                        p1 += 1
-                                        w += 8
-                                    cursor += 26
-                                    region._seq += 1
-                                r = wt_submit(now, words)
-                                flush_stall += r[0]
-                                pd = r[1]
-                                if pd > done:
-                                    done = pd
-                                i2 += 2
-                            rcur[tid] = cursor
-                            a_reg_req += (n + 1) // 2
-                            a_reg_ur += n
-                            logged_any = True
-                            for e0 in drained:
-                                ln = e0.addr & -64
-                                if done > mlr_get(ln, 0):
-                                    mlog_ready[ln] = done
-                                ml_unpersisted_discard(ln)
-                        stall = flush_stall + (
-                            done - now if done > now else 0
-                        )
-                        words = persist_commit_tuple(tid, txid)
-                        t2 = now + stall
-                        r = wt_submit(t2, words)
-                        stall += r[0] + (r[1] - t2)
-                        await_truncate.append((tid, txid))
-                        cost += stall
-                    elif sk == 4:  # lad
-                        stall = 0
-                        groups = []
-                        for ln in sorted(tx_lines):
-                            w2 = writeback_line(idx, ln)
-                            merged2 = captured_pop(ln, None)
-                            if w2 or merged2:
-                                stall += PREPARE_CYCLES_PER_LINE
-                                if merged2 is None:
-                                    combined = w2
-                                else:
-                                    combined = dict(merged2)
-                                    if w2:
-                                        combined.update(w2)
-                                groups.append(combined)
-                        stall += HANDSHAKE
-                        t2 = now + stall
-                        for w2 in groups:
-                            r = posted_submit(t2, w2)
-                            stall += r[0]
-                        for ln in tx_lines:
-                            slots_discard(ln)
-                        if (tid, txid) in fb_txs:
-                            fb_txs.discard((tid, txid))
-                            # discard_tx: no records on the fused path
-                        tx_lines.clear()
-                        fb_lines.clear()
-                        lad_in_tx[idx] = False
-                        cost += stall
-                    elif sk == 5:  # swlog
-                        # Everything already persisted per store; wait
-                        # it out, seal the commit tuple, fence.
-                        stall = sw_data_done[idx] - now
-                        if stall < 0:
-                            stall = 0
-                        words = persist_commit_tuple(tid, txid)
-                        t2 = now + stall
-                        r = wt_submit(t2, words)
-                        stall += r[0] + (r[1] - t2)
-                        stall += FENCE_CYCLES
-                        sw_data_done[idx] = 0
-                        # discard_tx: no records on the fused path
-                        cost += stall
-                    else:  # wrap
-                        # Redo commit rule: wait for the tx's logs,
-                        # seal the tuple, then the background copier
-                        # reads every log entry back and posts its
-                        # data word (stall unaffected).
-                        stall = wr_log_done[idx] - now
-                        if stall < 0:
-                            stall = 0
-                        words = persist_commit_tuple(tid, txid)
-                        t2 = now + stall
-                        r = wt_submit(t2, words)
-                        stall += r[0] + (r[1] - t2)
-                        t3 = now + stall
-                        for e in wr_entries:
-                            submit_read(t3, e.log_addr, channel=idx)
-                            a_wrap_reads += 1
-                            posted_submit(t3, {e.addr: e.new})
-                        # discard_tx: no records on the fused path
-                        wr_entries.clear()
-                        wr_my_unc.clear()
-                        wr_in_tx[idx] = False
-                        cost += stall
+                    extra = commit(pc, k, now, txid)
+                    if extra is None:
+                        return _EXACT
+                    cost += extra
                     in_tx = False
                     committed_add((tid, tx_index))
                     a_committed += 1
                 else:
-                    # kind 5 (store outside the 48-bit field: LogEntry
+                    # kind 5 of a kernel that does not fuse it (LogEntry
                     # validation — or lad's and silo's silent handling
                     # of it — must come from the exact code) and kind 8
                     # (store outside tx / unknown op: exact raises).
@@ -2058,86 +972,1049 @@ def _make_buffered_stepper(exact, idx, core, cpre, sk):
             core.txid = txid
             core.tx_index = tx_index
 
-    # ------------------------------------------------------------------
-    # End-of-run counter flush.  Every add is value-guarded so the key
-    # set matches the exact engine's (Counter creates keys on += 0);
-    # silo.inplace_words is guarded on commits instead of value because
-    # the exact engine creates that key unconditionally per commit.
-    # ------------------------------------------------------------------
     def flush():
+        # Every add is value-guarded so the key set matches the exact
+        # engine's (Counter creates keys on += 0).
         c = counters
         if a_l1_hits:
             c[k_l1_hits] += a_l1_hits
-        flush_submit(c)
+        flush_kernel(c)
         if a_committed:
             c["engine.committed"] += a_committed
-        if a_reg_req:
-            c["region.requests"] += a_reg_req
-        if a_reg_ur:
-            c["region.entries.undo_redo"] += a_reg_ur
-        if a_reg_undo:
-            c["region.entries.undo"] += a_reg_undo
-        if a_reg_redo:
-            c["region.entries.redo"] += a_reg_redo
-        if logged_any:
-            # The exact engine leaves the logging thread's record table
-            # present but empty after commit/finalize truncation.
-            records.setdefault(tid, {})
-        if sk == 2:
-            if a_seen:
-                c["loggen.stores_seen"] += a_seen
-            if a_ignored:
-                c["loggen.ignored"] += a_ignored
-            if a_entries:
-                c["loggen.entries"] += a_entries
-            if a_merged:
-                c[k_buf_merged] += a_merged
-            if a_appended:
-                c[k_buf_appended] += a_appended
-            if a_peak > c.get(k_buf_peak, 0):
-                c[k_buf_peak] = a_peak
-            if a_flushdisc:
-                c["silo.flushbit_discarded"] += a_flushdisc
-            if a_ovf:
-                c["silo.overflows"] += a_ovf
-                c["silo.overflow_entries"] += a_ovf_entries
-            if a_ncommits:
-                c["silo.inplace_words"] += a_inplace
-        elif sk == 3:
-            if a_merged:
-                c[k_mbuf_merged] += a_merged
-            if a_appended:
-                c[k_mbuf_appended] += a_appended
-            if a_peak > c.get(k_mbuf_peak, 0):
-                c[k_mbuf_peak] = a_peak
-        elif sk == 4:
-            if a_captured:
-                c["lad.captured_lines"] += a_captured
-            if a_fallbacks:
-                c["lad.fallbacks"] += a_fallbacks
-        elif sk == 6:
-            if a_wrap_reads:
-                c["wrap.log_reads"] += a_wrap_reads
 
     return step, flush
 
 
-#: The :class:`PolicyScheme` hooks the fused policy kernel replicates; a
-#: subclass overriding any of them has unknown hot-path behaviour.
-_POLICY_HOOKS = (
-    "on_tx_begin",
-    "on_store",
-    "_spill",
-    "_flush_entries",
-    "on_evictions",
-    "on_tx_end",
-)
+# ----------------------------------------------------------------------
+# The per-design kernels
+# ----------------------------------------------------------------------
+def _wal_kernel(exact, idx, core, cpre, pre, is_fwb):
+    """The per-store WAL designs (base, fwb) over a fully static log
+    layout.
+
+    Requires the virgin-log-area precondition (see :func:`_log_pass`)
+    plus a zero starting cursor; otherwise every op of the core runs
+    through the exact engine.  Under it the per-store hot path is pure
+    timing arithmetic: the static entries' media words/wear/counters
+    are applied in bulk at flush time, and the log submit is one
+    four-word request to one virgin sector, always.
+
+    Base additionally fuses the per-store data write-back: every base
+    store cleans its cacheline immediately, loads never dirty lines
+    and L3/L2 copies are therefore always clean, so the exact
+    engine's ``writeback_line`` merge is statically the singleton
+    ``{addr: value}`` of the store itself.
+
+    No fused op here ever falls back mid-core: kind-8 ops raise
+    inside the exact engine before touching engine state, and kind-5
+    stores are fused (their log addresses are static too), so the
+    cursor — synced before every bound ``persist_commit_tuple`` call
+    and at flush — never interleaves with exact-path log writes.
+    """
+    scheme = exact.scheme
+    system = exact.system
+    tid = core.tid
+    region = system.region
+    try:
+        lbase, larea = region.layout.thread_log_area(tid)
+    except AddressError:
+        return "no_log_area"
+    if region._cursor.get(tid, 0) != 0:
+        return "log_cursor_in_use"
+    cached = cpre.log
+    if cached is not None and cached[0] == lbase and cached[1] == larea:
+        lp = cached[2]
+    else:
+        lp = _log_pass(pre, cpre, tid, lbase, larea)
+        cpre.log = (lbase, larea, lp)
+    if lp is None:
+        return "wal_layout"
+
+    kinds = cpre.kinds
+    la_col = lp.la
+    pre2_col = lp.pre2
+    cur_te = lp.cur_te
+
+    mc = system.mc
+    chan = idx % mc.channels
+    wpq_heap = mc._wpq_heaps[chan]
+    wpq_cap = mc._wpq_capacity
+    chfree = mc._channel_free
+    banks = mc._bank_free[chan]
+    BUS = mc._bus_overhead
+    BEAT = mc._bus_beat
+    WSERV = mc._write_service
+    BUS1 = BUS + BEAT  # data singleton
+    BUS2 = BUS + 2 * BEAT  # commit tuple
+    BUS4 = BUS + 4 * BEAT  # log entry
+
+    pm = system.pm
+    onpm = pm.buffer
+    onpm_lines = onpm._lines
+    onpm_cap = onpm._capacity
+    evict_lru = onpm._evict_lru
+    media_words = pm.media._words
+    media_get = media_words.get
+    wear = pm.media._sector_wear
+    wear_get = wear.get
+
+    l1 = system.hierarchy._l1[idx]
+    l1_sets = l1._sets
+    l1_shift = l1._line_shift
+    l1_nsets = l1._num_sets
+
+    rcur = region._cursor
+    persist_commit_tuple = region.persist_commit_tuple
+    M = WORD_MASK
+
+    tld = scheme._tx_log_done
+    if is_fwb:
+        log_ready = scheme._log_ready
+        lr_get = log_ready.get
+        fwb_dirty_add = scheme._dirty_lines[idx].add
+        owner = scheme._owner
+        mfwb = scheme._maybe_force_writeback
+        await_truncate_append = scheme._await_truncate.append
+
+    a_wpq_stall = 0
+    a_med_lines = 0  # dynamic entries + commit tuples (static in bulk)
+    a_med_words = 0
+    a_med_redund = 0
+    ns = 0  # fused log entries (static + dynamic)
+    n_te = 0  # fused commit tuples
+    # Eviction storms (fwb; base lines are always clean) post each
+    # dirty victim through the shared kernel.
+    _, posted_submit, flush_submit = _make_submit_kernel(system, idx)
+
+    def store(pc, a, v, old, base, now, txid):
+        nonlocal a_wpq_stall, a_med_lines, a_med_words, a_med_redund, ns
+        if kinds[pc] != 2:
+            # Dynamic entry (static ones are bulk-applied at flush).
+            # Virgin sector: a word changes iff non-zero (the first
+            # payload word is odd, so the sector write is never
+            # redundant).
+            la = la_col[pc]
+            p = (pre2_col[pc] ^ ((old & M) * _K1)) | 1
+            changed = 0
+            for off in range(4):
+                w = (p + off) & M
+                if w:
+                    media_words[la + 8 * off] = w
+                    changed += 1
+            a_med_lines += 1
+            a_med_words += changed
+            sec = la >> 6
+            wear[sec] = wear_get(sec, 0) + 1
+        region._seq += 1
+        ns += 1
+        # Log submit: one 4-word request, one sector (plus the capacity
+        # victim the on-PM buffer evicts when full — fwb's posted data
+        # lines; base never fills it).  The log line itself is never
+        # resident.
+        cost = 0
+        extra = 0
+        if onpm_lines and len(onpm_lines) >= onpm_cap:
+            extra = evict_lru()
+        while wpq_heap and wpq_heap[0] <= now:
+            heappop(wpq_heap)
+        if len(wpq_heap) < wpq_cap:
+            adm = now
+        else:
+            adm = wpq_heap[0]
+            a_wpq_stall += adm - now
+            cost = adm - now
+        busy = chfree[chan]
+        start = adm if adm > busy else busy
+        persisted = start + BUS4
+        chfree[chan] = persisted
+        log_done = persisted
+        for _ in range(extra + 1):
+            free = banks[0]
+            log_done = (persisted if persisted > free else free) + WSERV
+            heapreplace(banks, log_done)
+        heappush(wpq_heap, log_done)
+        if log_done > tld[idx]:
+            tld[idx] = log_done
+        if is_fwb:
+            if log_done > lr_get(base, 0):
+                log_ready[base] = log_done
+            fwb_dirty_add(base)
+            owner[base] = idx
+            if now - scheme._last_fwb >= FWB_INTERVAL_CYCLES:
+                cost += mfwb(idx, now)
+            return cost
+        # base: immediate write-through of the line's dirty words —
+        # statically {a: v}.
+        l1_sets[(base >> l1_shift) % l1_nsets][base].dirty_words.clear()
+        if media_get(a, 0) != v:
+            media_words[a] = v
+            a_med_lines += 1
+            a_med_words += 1
+            sec = a >> 6
+            wear[sec] = wear_get(sec, 0) + 1
+            dsec = 1
+        else:
+            a_med_redund += 1
+            dsec = 0
+        if onpm_lines and len(onpm_lines) >= onpm_cap:
+            dsec += evict_lru()
+        while wpq_heap and wpq_heap[0] <= now:
+            heappop(wpq_heap)
+        if len(wpq_heap) < wpq_cap:
+            adm = now
+        else:
+            adm = wpq_heap[0]
+            a_wpq_stall += adm - now
+            cost += adm - now
+        busy = chfree[chan]
+        start = adm if adm > busy else busy
+        persisted = start + BUS1
+        chfree[chan] = persisted
+        media_done = persisted
+        for _ in range(dsec):
+            free = banks[0]
+            media_done = (persisted if persisted > free else free) + WSERV
+            heapreplace(banks, media_done)
+        heappush(wpq_heap, media_done)
+        return cost
+
+    def commit(pc, k, now, txid):
+        nonlocal a_wpq_stall, a_med_lines, a_med_words, a_med_redund, n_te
+        stall = tld[idx] - now
+        if stall < 0:
+            stall = 0
+        # The bound tuple call reads this tid's cursor.
+        rcur[tid] = cur_te[pc]
+        words = persist_commit_tuple(tid, txid)
+        t2 = now + stall
+        n_te += 1
+        wit = iter(words.items())
+        wa0, wv0 = next(wit)
+        wa1, wv1 = next(wit)
+        changed = 0
+        if wv0:
+            media_words[wa0] = wv0
+            changed = 1
+        if wv1:
+            media_words[wa1] = wv1
+            changed += 1
+        if changed:
+            a_med_lines += 1
+            a_med_words += changed
+            sec = wa0 >> 6
+            wear[sec] = wear_get(sec, 0) + 1
+            dsec = 1
+        else:
+            a_med_redund += 1
+            dsec = 0
+        if onpm_lines and len(onpm_lines) >= onpm_cap:
+            dsec += evict_lru()
+        while wpq_heap and wpq_heap[0] <= t2:
+            heappop(wpq_heap)
+        if len(wpq_heap) < wpq_cap:
+            adm = t2
+        else:
+            adm = wpq_heap[0]
+            a_wpq_stall += adm - t2
+            stall += adm - t2
+        busy = chfree[chan]
+        start = adm if adm > busy else busy
+        persisted = start + BUS2
+        chfree[chan] = persisted
+        media_done = persisted
+        for _ in range(dsec):
+            free = banks[0]
+            media_done = (persisted if persisted > free else free) + WSERV
+            heapreplace(banks, media_done)
+        heappush(wpq_heap, media_done)
+        stall += media_done - t2
+        tld[idx] = 0
+        if is_fwb:
+            await_truncate_append((tid, txid))
+        # base: the exact engine's discard_tx here is a no-op on the
+        # fused path (no records created).
+        return stall
+
+    def flush(c):
+        flush_submit(c)
+        n_log = ns + n_te
+        n_data = 0 if is_fwb else ns
+        mcw = n_log + n_data
+        if mcw:
+            c["mc.writes"] += mcw
+        if n_log:
+            c["mc.writes.log"] += n_log
+            c["pm.requests.log"] += n_log
+            c["pm.request_bytes.log"] += 32 * ns + 16 * n_te
+        if n_data:
+            c["mc.writes.data"] += n_data
+            c["pm.requests.data"] += n_data
+            c["pm.request_bytes.data"] += 8 * n_data
+        if a_wpq_stall:
+            c["mc.wpq_stall_cycles"] += a_wpq_stall
+        # Every fused write-through request hits the empty/absent fast
+        # path (one buffer request, one immediate eviction; capacity
+        # victims are accounted live by the bound ``_evict_lru``).
+        onr = n_log + n_data
+        if onr:
+            c["onpm.requests"] += onr
+            c["onpm.line_evictions"] += onr
+        coal = 3 * ns + n_te
+        if coal:
+            c["onpm.coalesced_words"] += coal
+        med_l = a_med_lines + lp.n_static
+        if med_l:
+            c["media.line_writes"] += med_l
+            c["media.sector_writes"] += med_l
+            c["media.word_writes"] += a_med_words + lp.nz_static
+        if a_med_redund:
+            c["media.redundant_line_writes"] += a_med_redund
+        if ns:
+            _flush_region(c, region, tid, ns, "undo_redo", ns)
+            media_words.update(lp.media)
+            for sec2, cnt in lp.wear.items():
+                wear[sec2] = wear_get(sec2, 0) + cnt
+        if ns or n_te:
+            rcur[tid] = lp.end_cur
+
+    return _Ops(store, commit, _make_posted_evict(posted_submit), flush)
 
 
-def _make_policy_stepper(exact, idx, core, cpre):
-    """Fused stepper for the spec-driven :class:`PolicyScheme` designs
-    (aglog, quadra1f, trinity2f, redolog4f), parameterized by the
-    spec's granularity policy and fence schedule.
+def _silo_kernel(exact, idx, core, cpre, pre):
+    """Silo in the paper's configuration: entries merge per word in
+    the core's log buffer, overflow spills the oldest batch's undo
+    halves as one posted on-PM-buffer-line request, and commit is the
+    controller handshake plus a background in-place flush."""
+    scheme = exact.scheme
+    system = exact.system
+    tid = core.tid
+    # Ablation configurations take different exact-engine branches
+    # (no merging / silent stores logged); only the paper's default
+    # configuration is fused.
+    if not all(b.merging for b in scheme._bufs):
+        return "silo_ablation"
+    if not all(g.ignore_silent for g in scheme._gens):
+        return "silo_ablation"
+    if not 0 <= tid < 256:
+        return "oversized_tid"
+    # Silo only touches the region on overflow; without a valid area
+    # the overflow falls back to the bound handler (which raises from
+    # the exact serializer, like the exact engine).  A larger batch
+    # would serialize as several requests; keep the single-request
+    # fusion for the paper configuration.
+    area = _log_area(system, tid)
+    OB = scheme._overflow_batch
+    fuse_ovf = not isinstance(area, str) and OB <= OVERFLOW_BATCH_ENTRIES
+    lbase, larea = area if fuse_ovf else (0, 0)
+
+    region = system.region
+    rcur = region._cursor
+    discard_tx = region.discard_tx
+    line_size = system.config.l1.line_size
+    counters = system.stats.counters
+    gen = scheme._gens[idx]
+    buf = scheme._bufs[idx]
+    sentries = buf._entries
+    sentries_get = sentries.get
+    spop = sentries.popitem
+    k_buf_merged = buf._k_merged
+    k_buf_appended = buf._k_appended
+    k_buf_peak = buf._k_peak
+    SILO_CAP = scheme._buf_capacity
+    BUF_LAT = scheme._buf_latency
+    controller_free = scheme._controller_free
+    last_store = scheme._last_store
+    tx_total = scheme._tx_total
+    overflowed = scheme._overflowed
+    handle_overflow = scheme._handle_overflow
+    tx_log_counts_append = scheme.tx_log_counts.append
+    HANDSHAKE = system.config.commit_handshake_cycles
+    M = WORD_MASK
+    new_entry = LogEntry.__new__
+    _, posted_submit, flush_submit = _make_submit_kernel(system, idx)
+
+    a_seen = 0
+    a_ignored = 0
+    a_entries = 0
+    a_merged = 0
+    a_appended = 0
+    a_peak = 0
+    a_flushdisc = 0
+    a_inplace = 0
+    a_ncommits = 0
+    a_ovf = 0
+    a_ovf_entries = 0
+
+    def post_inplace(t, new_data, size, free):
+        """Post new data per ``size``-byte line at ``t``; returns the
+        latest persist time, at least ``free``."""
+        for words in split_words_by_line(new_data, size).values():
+            r = posted_submit(t, words)
+            if r[1] > free:
+                free = r[1]
+        return free
+
+    def overflow(now, txid):
+        """``_handle_overflow`` fused: pop the oldest batch, serialize
+        the undo halves as one 256-byte-window posted log request, post
+        unflushed new data per cacheline.  Returns the stall."""
+        nonlocal a_ovf, a_ovf_entries
+        ostall = controller_free[idx] - now - _CONTROLLER_QUEUE_CYCLES
+        if ostall < 0:
+            ostall = 0
+        start = now + ostall + BUF_LAT
+        nb = len(sentries)
+        if nb > OB:
+            nb = OB
+        new_data = {}
+        cursor = rcur.get(tid, 0)
+        rem = cursor % ONPM_LINE_SIZE
+        if rem:
+            cursor += ONPM_LINE_SIZE - rem
+        words = {}
+        for _ in range(nb):
+            e = spop(last=False)[1]
+            if not e.flush_bit:
+                new_data[e.addr] = e.new
+                e.flush_bit = True
+            la = lbase + (cursor % larea)
+            e.log_addr = la
+            p = (
+                (e.tid << 56)
+                ^ (e.txid << 40)
+                ^ e.addr
+                ^ (e.old * _K1)
+                ^ (e.new * _K2)
+            ) | 1
+            w = la & -8
+            end = la + 18
+            while w < end:
+                words[w] = p & M
+                p += 1
+                w += 8
+            cursor += 18
+        rcur[tid] = cursor
+        region._seq += nb
+        free = posted_submit(start, words, True)[1]
+        if free < start:
+            free = start
+        # Like the exact handler, overflow groups by the default
+        # 64-byte line (commit groups by the L1 line).
+        back = post_inplace(start, new_data, LINE_SIZE, free) - BUF_LAT
+        if back > controller_free[idx]:
+            controller_free[idx] = back
+        overflowed.add((tid, txid))
+        a_ovf += 1
+        a_ovf_entries += nb
+        return ostall
+
+    def store(pc, a, v, old, base, now, txid):
+        nonlocal a_seen, a_ignored, a_entries, a_merged, a_appended, a_peak
+        tx_total[idx] += 1
+        last_store[idx] = now
+        a_seen += 1
+        if old == v:
+            a_ignored += 1
+            return 0
+        a_entries += 1
+        e = sentries_get(a)
+        if e is not None:
+            if e.tid != tid or e.txid != txid:
+                return None  # merging across transactions raises
+            e.new = v & M
+            a_merged += 1
+            return 0
+        cost = 0
+        if len(sentries) >= SILO_CAP:
+            if fuse_ovf:
+                cost = overflow(now, txid)
+            else:
+                cost = handle_overflow(idx, tid, txid, now)
+        e = new_entry(LogEntry)
+        e.tid = tid
+        e.txid = txid
+        e.addr = a
+        e.old = old & M
+        e.new = v & M
+        e.flush_bit = False
+        e.log_addr = 0
+        sentries[a] = e
+        a_appended += 1
+        occ = len(sentries)
+        if occ > a_peak:
+            a_peak = occ
+        return cost
+
+    def begin(k, txid):
+        if k == 6 or gen._txid is not None:
+            return None  # the exact engine raises TransactionError
+        gen._txid_register = txid
+        gen._tid = tid
+        gen._txid = txid
+        tx_total[idx] = 0
+        return 0
+
+    def commit(pc, k, now, txid):
+        nonlocal a_flushdisc, a_inplace, a_ncommits
+        if k == 7 or gen._txid is None:
+            return None  # the exact engine raises
+        gen._tid = None
+        gen._txid = None
+        tx_log_counts_append((tx_total[idx], len(sentries)))
+        stall = HANDSHAKE
+        cf = controller_free[idx]
+        backlog = cf - now
+        if backlog > _CONTROLLER_QUEUE_CYCLES:
+            stall += backlog - _CONTROLLER_QUEUE_CYCLES
+        drained = list(sentries.values())
+        sentries.clear()
+        discarded = 0
+        new_data = {}
+        for e in drained:
+            if e.flush_bit:
+                discarded += 1
+            else:
+                new_data[e.addr] = e.new
+        if discarded:
+            a_flushdisc += discarded
+        start = (now if now > cf else cf) + BUF_LAT
+        back = post_inplace(start, new_data, line_size, start) - BUF_LAT
+        if back > controller_free[idx]:
+            controller_free[idx] = back
+        a_inplace += len(new_data)
+        a_ncommits += 1
+        if (tid, txid) in overflowed:
+            overflowed.discard((tid, txid))
+            discard_tx(tid, txid)
+        return stall
+
+    # Evictions additionally set the flush bit on buffered entries
+    # whose words just reached PM (live counters, like the exact hook;
+    # all buffers are merging dicts in the fused config).
+    silo_bufs = scheme._bufs
+
+    def evict(t, wbs):
+        stall = 0
+        for _lb, words in wbs:
+            stall += posted_submit(t, words)[0]
+            for buf2 in silo_bufs:
+                entries2 = buf2._entries
+                if not entries2:
+                    continue
+                marked = 0
+                lookup = entries2.get
+                for wa in words:
+                    e2 = lookup(wa)
+                    if e2 is not None and not e2.flush_bit:
+                        e2.flush_bit = True
+                        marked += 1
+                if marked:
+                    counters[buf2._k_flush_bits] += marked
+        return stall
+
+    def flush(c):
+        flush_submit(c)
+        _flush_region(c, region, tid, a_ovf, "undo", a_ovf_entries)
+        if a_seen:
+            c["loggen.stores_seen"] += a_seen
+        if a_ignored:
+            c["loggen.ignored"] += a_ignored
+        if a_entries:
+            c["loggen.entries"] += a_entries
+        if a_merged:
+            c[k_buf_merged] += a_merged
+        if a_appended:
+            c[k_buf_appended] += a_appended
+        if a_peak > c.get(k_buf_peak, 0):
+            c[k_buf_peak] = a_peak
+        if a_flushdisc:
+            c["silo.flushbit_discarded"] += a_flushdisc
+        if a_ovf:
+            c["silo.overflows"] += a_ovf
+            c["silo.overflow_entries"] += a_ovf_entries
+        # Guarded on commits, not value: the exact engine creates this
+        # key unconditionally per commit.
+        if a_ncommits:
+            c["silo.inplace_words"] += a_inplace
+
+    return _Ops(store, commit, evict, flush, begin)
+
+
+def _morlog_kernel(exact, idx, core, cpre, pre):
+    """MorLog: undo+redo entries merge in the core's morph buffer; a
+    full buffer flushes its two oldest, commit flushes the rest (two
+    entries per 64-byte request, written through) and seals the
+    tuple."""
+    scheme = exact.scheme
+    system = exact.system
+    tid = core.tid
+    area = _log_area(system, tid)
+    if isinstance(area, str):
+        return area
+    lbase, larea = area
+    region = system.region
+    rcur = region._cursor
+    mbuf = scheme._bufs[idx]
+    mentries = mbuf._entries
+    mentries_get = mentries.get
+    mpop = mentries.popitem
+    k_mbuf_merged = mbuf._k_merged
+    k_mbuf_appended = mbuf._k_appended
+    k_mbuf_peak = mbuf._k_peak
+    mlog_ready = scheme._log_ready
+    mlr_get = mlog_ready.get
+    ml_unpersisted_all = scheme._unpersisted_lines
+    ml_unpersisted_add = ml_unpersisted_all[idx].add
+    ml_unpersisted_discard = ml_unpersisted_all[idx].discard
+    ml_dirty_add = scheme._dirty_lines[idx].add
+    await_truncate_append = scheme._await_truncate.append
+    on_evictions = exact._scheme_on_evictions
+    M = WORD_MASK
+    new_entry = LogEntry.__new__
+    wt_submit, posted_submit, flush_submit = _make_submit_kernel(system, idx)
+    seal = _make_seal(region, tid, wt_submit)
+
+    a_merged = 0
+    a_appended = 0
+    a_peak = 0
+    a_reg_req = 0
+    a_reg_ur = 0
+
+    def persist(t, entries):
+        """``_persist_entries`` fused: serialize two entries per
+        64-byte request (span-64 cursor; the second entry starts at
+        byte 26 of the first's sector) and write each through.
+        Returns ``(admission_stall, persist_completion)``."""
+        nonlocal a_reg_req, a_reg_ur
+        n = len(entries)
+        if not n:
+            return 0, t
+        stall = 0
+        done = t
+        cursor = rcur.get(tid, 0)
+        for i in range(0, n, 2):
+            rem = cursor & 63
+            if rem:
+                cursor += 64 - rem
+            la = lbase + (cursor % larea)
+            e = entries[i]
+            p = (
+                (e.tid << 56)
+                ^ (e.txid << 40)
+                ^ e.addr
+                ^ (e.old * _K1)
+                ^ (e.new * _K2)
+            ) | 1
+            words = {
+                la: p & M,
+                la + 8: (p + 1) & M,
+                la + 16: (p + 2) & M,
+                la + 24: (p + 3) & M,
+            }
+            cursor += 26
+            if i + 1 < n:
+                e = entries[i + 1]
+                la = lbase + (cursor % larea)
+                p = (
+                    (e.tid << 56)
+                    ^ (e.txid << 40)
+                    ^ e.addr
+                    ^ (e.old * _K1)
+                    ^ (e.new * _K2)
+                ) | 1
+                w = la & -8
+                end = la + 26
+                while w < end:
+                    words[w] = p & M
+                    p += 1
+                    w += 8
+                cursor += 26
+            r = wt_submit(t, words)
+            stall += r[0]
+            if r[1] > done:
+                done = r[1]
+        rcur[tid] = cursor
+        region._seq += n
+        a_reg_req += (n + 1) // 2
+        a_reg_ur += n
+        for e in entries:
+            ln = e.addr & -64
+            if done > mlr_get(ln, 0):
+                mlog_ready[ln] = done
+            ml_unpersisted_discard(ln)
+        return stall, done
+
+    def store(pc, a, v, old, base, now, txid):
+        nonlocal a_merged, a_appended, a_peak
+        cost = 0
+        e = mentries_get(a)
+        if e is not None:
+            if e.tid != tid or e.txid != txid:
+                return None  # merging across transactions raises
+            e.new = v & M
+            a_merged += 1
+        else:
+            if len(mentries) >= MORPH_BUFFER_ENTRIES:
+                # _flush_oldest: the two oldest entries, one request.
+                oldest = [mpop(last=False)[1], mpop(last=False)[1]]
+                cost = persist(now, oldest)[0]
+            e = new_entry(LogEntry)
+            e.tid = tid
+            e.txid = txid
+            e.addr = a
+            e.old = old & M
+            e.new = v & M
+            e.flush_bit = False
+            e.log_addr = 0
+            mentries[a] = e
+            a_appended += 1
+            occ = len(mentries)
+            if occ > a_peak:
+                a_peak = occ
+        ml_unpersisted_add(base)
+        ml_dirty_add(base)
+        return cost
+
+    def commit(pc, k, now, txid):
+        drained = list(mentries.values())
+        mentries.clear()
+        flush_stall, done = persist(now, drained)
+        stall = flush_stall + (done - now if done > now else 0)
+        stall += seal(txid, now + stall)
+        await_truncate_append((tid, txid))
+        return stall
+
+    def evict(t, wbs):
+        # A victim line whose logs are still on chip must persist them
+        # before its data leaves the cache domain (log-before-data);
+        # that rare path runs the exact hook for the whole batch.
+        for lb, _w in wbs:
+            for s2 in ml_unpersisted_all:
+                if lb in s2:
+                    return on_evictions(idx, t, wbs)
+        stall = 0
+        for _lb, words in wbs:
+            stall += posted_submit(t, words)[0]
+        return stall
+
+    def flush(c):
+        flush_submit(c)
+        _flush_region(c, region, tid, a_reg_req, "undo_redo", a_reg_ur)
+        if a_merged:
+            c[k_mbuf_merged] += a_merged
+        if a_appended:
+            c[k_mbuf_appended] += a_appended
+        if a_peak > c.get(k_mbuf_peak, 0):
+            c[k_mbuf_peak] = a_peak
+
+    return _Ops(store, commit, evict, flush)
+
+
+def _lad_kernel(exact, idx, core, cpre, pre):
+    """LAD: every line a transaction writes claims a capture slot in
+    the MC (or, with the slots full, falls back to per-store undo
+    logging after a PM read); commit flushes the transaction's lines
+    into the MC (Prepare) and posts them after the handshake."""
+    scheme = exact.scheme
+    system = exact.system
+    tid = core.tid
+    area = _log_area(system, tid)
+    if isinstance(area, str):
+        return area
+    lbase, larea = area
+    region = system.region
+    rcur = region._cursor
+    submit_read = system.mc.submit_read
+    writeback_line = system.hierarchy.writeback_line
+    slots = scheme._slots
+    captured = scheme._captured
+    tx_lines = scheme._tx_lines[idx]
+    fb_lines = scheme._fallback_lines[idx]
+    fb_txs = scheme._fallback_txs
+    lad_in_tx = scheme._in_tx
+    HANDSHAKE = system.config.commit_handshake_cycles
+    M = WORD_MASK
+    wt_submit, posted_submit, flush_submit = _make_submit_kernel(system, idx)
+
+    a_captured = 0
+    a_fallbacks = 0
+    a_undo = 0
+
+    def store(pc, a, v, old, base, now, txid):
+        nonlocal a_captured, a_fallbacks, a_undo
+        cost = 0
+        if base not in tx_lines:
+            tx_lines.add(base)
+            if len(slots) < CAPTURE_LINES:
+                slots.add(base)
+                a_captured += 1
+            else:
+                fb_lines.add(base)
+                fb_txs.add((tid, txid))
+                a_fallbacks += 1
+                cost = submit_read(now, base, channel=idx) - now
+        if base in fb_lines:
+            # One undo entry written through, waited for: aligned
+            # cursor, 18-byte slot -> three payload words.
+            cursor = rcur.get(tid, 0)
+            rem = cursor & 63
+            if rem:
+                cursor += 64 - rem
+            la = lbase + (cursor % larea)
+            p = (
+                (tid << 56)
+                ^ (txid << 40)
+                ^ a
+                ^ ((old & M) * _K1)
+                ^ ((v & M) * _K2)
+            ) | 1
+            words = {la: p & M, la + 8: (p + 1) & M, la + 16: (p + 2) & M}
+            rcur[tid] = cursor + 18
+            region._seq += 1
+            a_undo += 1
+            r = wt_submit(now, words)
+            cost += r[0] + (r[1] - now)
+        return cost
+
+    def begin(k, txid):
+        lad_in_tx[idx] = True
+        return 0
+
+    def commit(pc, k, now, txid):
+        stall = 0
+        groups = []
+        for ln in sorted(tx_lines):
+            w2 = writeback_line(idx, ln)
+            merged2 = captured.pop(ln, None)
+            if w2 or merged2:
+                stall += PREPARE_CYCLES_PER_LINE
+                if merged2 is None:
+                    combined = w2
+                else:
+                    combined = dict(merged2)
+                    if w2:
+                        combined.update(w2)
+                groups.append(combined)
+        stall += HANDSHAKE
+        t2 = now + stall
+        for w2 in groups:
+            stall += posted_submit(t2, w2)[0]
+        for ln in tx_lines:
+            slots.discard(ln)
+        # discard_tx: no records on the fused path.
+        fb_txs.discard((tid, txid))
+        tx_lines.clear()
+        fb_lines.clear()
+        lad_in_tx[idx] = False
+        return stall
+
+    def evict(t, wbs):
+        # Victims of captured lines are absorbed into the slot's merge
+        # dict (no PM traffic, no stall).
+        stall = 0
+        for lb, words in wbs:
+            if lb in slots:
+                c2 = captured.get(lb)
+                if c2 is None:
+                    captured[lb] = dict(words)
+                else:
+                    c2.update(words)
+            else:
+                stall += posted_submit(t, words)[0]
+        return stall
+
+    def flush(c):
+        flush_submit(c)
+        _flush_region(c, region, tid, a_undo, "undo", a_undo)
+        if a_captured:
+            c["lad.captured_lines"] += a_captured
+        if a_fallbacks:
+            c["lad.fallbacks"] += a_fallbacks
+
+    return _Ops(store, commit, evict, flush, begin)
+
+
+def _swlog_kernel(exact, idx, core, cpre, pre):
+    """The software WAL: per store the CPU builds one undo+redo entry,
+    writes it through and fences, then writes the data line through
+    and fences again; commit seals the tuple and fences."""
+    scheme = exact.scheme
+    system = exact.system
+    tid = core.tid
+    area = _log_area(system, tid)
+    if isinstance(area, str):
+        return area
+    lbase, larea = area
+    region = system.region
+    rcur = region._cursor
+    writeback_line = system.hierarchy.writeback_line
+    sw_data_done = scheme._tx_data_done
+    M = WORD_MASK
+    wt_submit, posted_submit, flush_submit = _make_submit_kernel(system, idx)
+    seal = _make_seal(region, tid, wt_submit)
+    a_entries = 0
+
+    def store(pc, a, v, old, base, now, txid):
+        nonlocal a_entries
+        # Build the entry (inline CPU work), persist one 26-byte
+        # undo+redo record (span-64 cursor -> the line's first four
+        # words), clwb+sfence it, then write the data line through and
+        # fence again.
+        stall = LOG_BUILD_CYCLES
+        cursor = rcur.get(tid, 0)
+        rem = cursor & 63
+        if rem:
+            cursor += 64 - rem
+        la = lbase + (cursor % larea)
+        p = (
+            (tid << 56)
+            ^ (txid << 40)
+            ^ a
+            ^ ((old & M) * _K1)
+            ^ ((v & M) * _K2)
+        ) | 1
+        words = {
+            la: p & M,
+            la + 8: (p + 1) & M,
+            la + 16: (p + 2) & M,
+            la + 24: (p + 3) & M,
+        }
+        rcur[tid] = cursor + 26
+        region._seq += 1
+        a_entries += 1
+        t2 = now + stall
+        r = wt_submit(t2, words)
+        stall += r[0] + (r[1] - t2) + FENCE_CYCLES
+        lw = writeback_line(idx, base)
+        if lw:
+            t2 = now + stall
+            r = wt_submit(t2, lw, False)
+            stall += r[0] + (r[1] - t2)
+        stall += FENCE_CYCLES
+        t2 = now + stall
+        if t2 > sw_data_done[idx]:
+            sw_data_done[idx] = t2
+        return stall
+
+    def commit(pc, k, now, txid):
+        # Everything already persisted per store; wait it out, seal
+        # the commit tuple, fence.  discard_tx: no records to drop.
+        stall = sw_data_done[idx] - now
+        if stall < 0:
+            stall = 0
+        stall += seal(txid, now + stall) + FENCE_CYCLES
+        sw_data_done[idx] = 0
+        return stall
+
+    def flush(c):
+        flush_submit(c)
+        _flush_region(c, region, tid, a_entries, "undo_redo", a_entries)
+
+    return _Ops(store, commit, _make_posted_evict(posted_submit), flush)
+
+
+def _wrap_kernel(exact, idx, core, cpre, pre):
+    """WrAP: one redo entry written through per store (the store pays
+    only the admission stall); commit waits for the logs, seals the
+    tuple, then the copier reads every entry back and posts its data
+    word.  Victims of open transactions' lines are dropped."""
+    scheme = exact.scheme
+    system = exact.system
+    tid = core.tid
+    area = _log_area(system, tid)
+    if isinstance(area, str):
+        return area
+    lbase, larea = area
+    region = system.region
+    rcur = region._cursor
+    submit_read = system.mc.submit_read
+    wr_log_done = scheme._tx_log_done
+    wr_entries = scheme._tx_entries[idx]
+    wr_entries_append = wr_entries.append
+    wr_uncommitted = scheme._uncommitted_lines
+    wr_my_unc = wr_uncommitted[idx]
+    wr_my_unc_add = wr_my_unc.add
+    wr_in_tx = scheme._in_tx
+    M = WORD_MASK
+    new_entry = LogEntry.__new__
+    wt_submit, posted_submit, flush_submit = _make_submit_kernel(system, idx)
+    seal = _make_seal(region, tid, wt_submit)
+    a_entries = 0
+    a_wrap_reads = 0
+
+    def store(pc, a, v, old, base, now, txid):
+        nonlocal a_entries
+        # One 18-byte redo record (span-64 cursor -> three words)
+        # written through; commit waits on the persist, the store
+        # itself only pays the admission stall.
+        cursor = rcur.get(tid, 0)
+        rem = cursor & 63
+        if rem:
+            cursor += 64 - rem
+        la = lbase + (cursor % larea)
+        p = (
+            (tid << 56)
+            ^ (txid << 40)
+            ^ a
+            ^ ((old & M) * _K1)
+            ^ ((v & M) * _K2)
+        ) | 1
+        words = {la: p & M, la + 8: (p + 1) & M, la + 16: (p + 2) & M}
+        rcur[tid] = cursor + 18
+        region._seq += 1
+        a_entries += 1
+        r = wt_submit(now, words)
+        if r[1] > wr_log_done[idx]:
+            wr_log_done[idx] = r[1]
+        e = new_entry(LogEntry)
+        e.tid = tid
+        e.txid = txid
+        e.addr = a
+        e.old = old & M
+        e.new = v & M
+        e.flush_bit = False
+        e.log_addr = la
+        wr_entries_append(e)
+        wr_my_unc_add(base)
+        return r[0]
+
+    def begin(k, txid):
+        wr_in_tx[idx] = True
+        return 0
+
+    def commit(pc, k, now, txid):
+        nonlocal a_wrap_reads
+        # Redo commit rule: wait for the tx's logs, seal the tuple;
+        # the background copier's reads and posts leave the stall
+        # unaffected.  discard_tx: no records on the fused path.
+        stall = wr_log_done[idx] - now
+        if stall < 0:
+            stall = 0
+        stall += seal(txid, now + stall)
+        t3 = now + stall
+        for e in wr_entries:
+            submit_read(t3, e.log_addr, channel=idx)
+            a_wrap_reads += 1
+            posted_submit(t3, {e.addr: e.new})
+        wr_entries.clear()
+        wr_my_unc.clear()
+        wr_in_tx[idx] = False
+        return stall
+
+    def flush(c):
+        flush_submit(c)
+        _flush_region(c, region, tid, a_entries, "redo", a_entries)
+        if a_wrap_reads:
+            c["wrap.log_reads"] += a_wrap_reads
+
+    evict = _make_posted_evict(posted_submit, wr_in_tx, wr_uncommitted)
+    return _Ops(store, commit, evict, flush, begin)
+
+
+def _policy_kernel(exact, idx, core, cpre, pre):
+    """The spec-driven :class:`PolicyScheme` designs (aglog, quadra1f,
+    trinity2f, redolog4f), parameterized by the spec's granularity
+    policy and fence schedule.
 
     The staging dict, ``_tx_new``, ``_tx_lines``, ``_in_tx`` and
     ``_tx_log_done`` stay live, so exact-engine per-op fallbacks and
@@ -2151,24 +2028,15 @@ def _make_policy_stepper(exact, idx, core, cpre):
     scheme = exact.scheme
     system = exact.system
     tid = core.tid
-    region = system.region
-    try:
-        lbase, larea = region.layout.thread_log_area(tid)
-    except AddressError:
-        return "no_log_area"
-    if not 0 <= tid < 256:
-        return "oversized_tid"
+    area = _log_area(system, tid)
+    if isinstance(area, str):
+        return area
+    lbase, larea = area
     if larea % 64 or scheme._line_mask != -64 or system.pm.buffer._line_size % 64:
         # Fused requests must start on a sector of the log area, and
         # in-place groups must fit one 64-byte media sector, which must
         # fit one on-PM buffer line.
         return "log_layout"
-
-    kinds = cpre.kinds
-    addrs = cpre.addrs
-    vals = cpre.vals
-    olds = cpre.olds
-    n_ops = core.n_ops
 
     spec = scheme.spec
     pack = spec.granularity.pack
@@ -2187,47 +2055,19 @@ def _make_policy_stepper(exact, idx, core, cpre):
     tld = scheme._tx_log_done
     in_tx_all = scheme._in_tx
 
+    region = system.region
+    rcur = region._cursor
+    discard_tx = region.discard_tx
     wt_submit, posted_submit, flush_submit = _make_submit_kernel(system, idx)
+    seal = _make_seal(region, tid, wt_submit)
     submit_write = system.mc.submit_write
     onpm_mask = system.pm.buffer._line_mask
-    fused_evict = _make_posted_evict(
-        posted_submit, in_tx_all, scheme._tx_lines
-    )
-    media_get = system.pm.media._words.get
-
-    hier = system.hierarchy
-    l1 = hier._l1[idx]
-    l1_sets = l1._sets
-    l1_shift = l1._line_shift
-    l1_nsets = l1._num_sets
-    k_l1_hits = l1._k_hits
-    LAT_L1 = hier._lat_l1
-    line_mask = hier._line_mask
-    hier_store = exact._hier_store
-    hier_load = exact._hier_load
-    read_contention = exact._read_contention
-
-    rcur = region._cursor
-    rcur_get = rcur.get
-    records = region._records
-    persist_commit_tuple = region.persist_commit_tuple
-    discard_tx = region.discard_tx
-
     counters = system.stats.counters
-    current = exact._current
-    current_get = current.get
-    committed_add = exact._committed.add
-    OPOV = exact._op_overhead
     M = WORD_MASK
-    K1 = _K1
-    K2 = _K2
+    new_entry = LogEntry.__new__
     CAP = STAGING_ENTRIES
     BATCH = SPILL_BATCH
-    entry_cls = LogEntry
-    new_entry = LogEntry.__new__
 
-    a_l1_hits = 0
-    a_committed = 0
     a_staged = 0
     a_spills = 0
     a_inplace = 0
@@ -2235,7 +2075,6 @@ def _make_policy_stepper(exact, idx, core, cpre):
     a_reg_redo = 0
     a_run_records = 0
     a_run_words = 0
-    logged_any = False
 
     def flush_entries(entries, t):
         """``PolicyScheme._flush_entries`` fused: pack once, serialize
@@ -2243,11 +2082,9 @@ def _make_policy_stepper(exact, idx, core, cpre):
         entries per 64-byte request) would, write every request
         through.  Returns ``(admission_stall, persist_completion)``."""
         nonlocal a_reg_req, a_reg_redo, a_run_records, a_run_words
-        nonlocal logged_any
-        logged_any = True
         stall = 0
         done = t
-        cursor = rcur_get(tid, 0)
+        cursor = rcur.get(tid, 0)
         for mode, chunk in pack(entries, counters):
             n = len(chunk)
             a_reg_redo += n
@@ -2264,7 +2101,7 @@ def _make_policy_stepper(exact, idx, core, cpre):
                             (e.tid << 56)
                             ^ (e.txid << 40)
                             ^ (e.addr & -64)
-                            ^ (n * K1)
+                            ^ (n * _K1)
                         )
                         | 1
                     ) & M
@@ -2276,8 +2113,8 @@ def _make_policy_stepper(exact, idx, core, cpre):
                             (e.tid << 56)
                             ^ (e.txid << 40)
                             ^ e.addr
-                            ^ (e.old * K1)
-                            ^ (e.new * K2)
+                            ^ (e.old * _K1)
+                            ^ (e.new * _K2)
                         )
                         | 1
                     ) & M
@@ -2312,8 +2149,8 @@ def _make_policy_stepper(exact, idx, core, cpre):
                     (e.tid << 56)
                     ^ (e.txid << 40)
                     ^ e.addr
-                    ^ (e.old * K1)
-                    ^ (e.new * K2)
+                    ^ (e.old * _K1)
+                    ^ (e.new * _K2)
                 ) | 1
                 words = {la: p & M, la + 8: (p + 1) & M, la + 16: (p + 2) & M}
                 cursor += 18
@@ -2324,8 +2161,8 @@ def _make_policy_stepper(exact, idx, core, cpre):
                         (e.tid << 56)
                         ^ (e.txid << 40)
                         ^ e.addr
-                        ^ (e.old * K1)
-                        ^ (e.new * K2)
+                        ^ (e.old * _K1)
+                        ^ (e.new * _K2)
                     ) | 1
                     words[la + 16] = p & M
                     words[la + 24] = (p + 1) & M
@@ -2341,191 +2178,175 @@ def _make_policy_stepper(exact, idx, core, cpre):
         region._seq += len(entries)
         return stall, done
 
-    def step(limit_t, limit_i):
-        nonlocal a_l1_hits, a_committed, a_staged, a_spills, a_inplace
-        pc = core.pc
-        now = core.time
-        in_tx = core.in_tx
-        txid = core.txid
-        tx_index = core.tx_index
-        tx_new = tx_new_all[idx]
-        lim = limit_t if idx < limit_i else limit_t - 1
-        try:
-            while True:
-                if pc >= n_ops:
-                    return _DONE
-                if now > lim:
-                    return _YIELD
-                k = kinds[pc]
-                cost = OPOV
-                if k == 2 or k == 4:  # --------------------------- Store
-                    a = addrs[pc]
-                    v = vals[pc]
-                    if k == 2:
-                        old = olds[pc]
-                    else:
-                        old = current_get(a)
-                        if old is None:
-                            old = media_get(a, 0)
-                    base = a & line_mask
-                    bucket = l1_sets[(base >> l1_shift) % l1_nsets]
-                    line = bucket.get(base)
-                    if line is not None:
-                        bucket.move_to_end(base)
-                        a_l1_hits += 1
-                        cost += LAT_L1
-                        line.dirty_words[a] = v
-                    else:
-                        access = hier_store(idx, a, v)
-                        cost += access.latency
-                        if access.hit_level == "pm":
-                            cost += read_contention(a, now, idx)
-                        wbs = access.writebacks
-                        if wbs:
-                            cost += fused_evict(now, wbs)
-                    nv = v & M
-                    e = staged_get(a)
-                    if e is not None:
-                        e.new = nv
-                    else:
-                        if len(staged) >= CAP:
-                            # _spill: the oldest SPILL_BATCH entries.
-                            batch = [
-                                staged_pop(a2)
-                                for a2 in list(islice(staged, BATCH))
-                            ]
-                            a_spills += 1
-                            r = flush_entries(batch, now)
-                            cost += r[0]
-                            if r[1] > tld[idx]:
-                                tld[idx] = r[1]
-                        e = new_entry(entry_cls)
-                        e.tid = tid
-                        e.txid = txid
-                        e.addr = a
-                        e.old = old & M
-                        e.new = nv
-                        e.flush_bit = False
-                        e.log_addr = 0
-                        staged[a] = e
-                        a_staged += 1
-                    tx_new[a] = nv
-                    tx_lines_add(base)
-                    current[a] = v
-                elif k == 3:  # ---------------------------------- Load
-                    a = addrs[pc]
-                    base = a & line_mask
-                    bucket = l1_sets[(base >> l1_shift) % l1_nsets]
-                    line = bucket.get(base)
-                    if line is not None:
-                        bucket.move_to_end(base)
-                        a_l1_hits += 1
-                        cost += LAT_L1
-                    else:
-                        access = hier_load(idx, a)
-                        cost += access.latency
-                        if access.hit_level == "pm":
-                            cost += read_contention(a, now, idx)
-                        wbs = access.writebacks
-                        if wbs:
-                            cost += fused_evict(now, wbs)
-                elif k == 0 or k == 6:  # --------------------- TxBegin
-                    tx_index += 1
-                    txid = (tx_index % 65535) + 1
-                    in_tx = True
-                    in_tx_all[idx] = True
-                elif k == 1 or k == 7:  # ----------------------- TxEnd
-                    # PolicyScheme.on_tx_end, walking the fence schedule.
-                    if staged:
-                        entries = list(staged.values())
-                        staged.clear()
-                        stall, done = flush_entries(entries, now)
-                    else:
-                        stall = 0
-                        done = now
-                    if WAIT_LOG:
-                        if tld[idx] > done:
-                            done = tld[idx]
-                        if done - now > stall:
-                            stall = done - now
-                        stall += FENCE
-                    t2 = now + stall
-                    r = wt_submit(t2, persist_commit_tuple(tid, txid))
-                    stall += r[0] + (r[1] - t2) + FENCE
-                    if tx_new:
-                        grouped = {}
-                        for ea, ev in tx_new.items():
-                            gb = ea & -64
-                            g = grouped.get(gb)
-                            if g is None:
-                                grouped[gb] = {ea: ev}
-                            else:
-                                g[ea] = ev
-                        t2 = now + stall
-                        if INPLACE_FENCE:
-                            data_done = t2
-                            for w2 in grouped.values():
-                                r = wt_submit(t2, w2, False)
-                                stall += r[0]
-                                if r[1] > data_done:
-                                    data_done = r[1]
-                            stall += (data_done - t2) + FENCE
-                        else:
-                            for w2 in grouped.values():
-                                stall += posted_submit(t2, w2)[0]
-                        a_inplace += len(tx_new)
-                        tx_new = tx_new_all[idx] = {}
-                    if TRUNCATE_FENCE:
-                        t2 = now + stall
-                        r = wt_submit(t2, persist_commit_tuple(tid, txid))
-                        stall += r[0] + (r[1] - t2) + FENCE
-                    discard_tx(tid, txid)
-                    tx_lines.clear()
-                    tld[idx] = 0
-                    in_tx_all[idx] = False
-                    cost += stall
-                    in_tx = False
-                    committed_add((tid, tx_index))
-                    a_committed += 1
-                else:
-                    # kind 5 (LogEntry validation raises from the exact
-                    # code) and kind 8 (store outside tx / unknown op).
-                    return _EXACT
-                pc += 1
-                now += cost
-        finally:
-            core.pc = pc
-            core.time = now
-            core.in_tx = in_tx
-            core.txid = txid
-            core.tx_index = tx_index
+    def store(pc, a, v, old, base, now, txid):
+        nonlocal a_staged, a_spills
+        cost = 0
+        nv = v & M
+        e = staged_get(a)
+        if e is not None:
+            e.new = nv
+        else:
+            if len(staged) >= CAP:
+                # _spill: the oldest SPILL_BATCH entries.
+                batch = [staged_pop(a2) for a2 in list(islice(staged, BATCH))]
+                a_spills += 1
+                cost, done = flush_entries(batch, now)
+                if done > tld[idx]:
+                    tld[idx] = done
+            e = new_entry(LogEntry)
+            e.tid = tid
+            e.txid = txid
+            e.addr = a
+            e.old = old & M
+            e.new = nv
+            e.flush_bit = False
+            e.log_addr = 0
+            staged[a] = e
+            a_staged += 1
+        tx_new_all[idx][a] = nv
+        tx_lines_add(base)
+        return cost
 
-    def flush():
-        c = counters
-        if a_l1_hits:
-            c[k_l1_hits] += a_l1_hits
+    def begin(k, txid):
+        in_tx_all[idx] = True
+        return 0
+
+    def commit(pc, k, now, txid):
+        nonlocal a_inplace
+        # PolicyScheme.on_tx_end, walking the fence schedule.
+        if staged:
+            entries = list(staged.values())
+            staged.clear()
+            stall, done = flush_entries(entries, now)
+        else:
+            stall = 0
+            done = now
+        if WAIT_LOG:
+            if tld[idx] > done:
+                done = tld[idx]
+            if done - now > stall:
+                stall = done - now
+            stall += FENCE
+        stall += seal(txid, now + stall) + FENCE
+        tx_new = tx_new_all[idx]
+        if tx_new:
+            grouped = split_words_by_line(tx_new, 64)
+            t2 = now + stall
+            if INPLACE_FENCE:
+                data_done = t2
+                for w2 in grouped.values():
+                    r = wt_submit(t2, w2, False)
+                    stall += r[0]
+                    if r[1] > data_done:
+                        data_done = r[1]
+                stall += (data_done - t2) + FENCE
+            else:
+                for w2 in grouped.values():
+                    stall += posted_submit(t2, w2)[0]
+            a_inplace += len(tx_new)
+            tx_new_all[idx] = {}
+        if TRUNCATE_FENCE:
+            stall += seal(txid, now + stall) + FENCE
+        discard_tx(tid, txid)
+        tx_lines.clear()
+        tld[idx] = 0
+        in_tx_all[idx] = False
+        return stall
+
+    def flush(c):
         flush_submit(c)
-        if a_committed:
-            c["engine.committed"] += a_committed
         if a_staged:
             c["policy.staged_entries"] += a_staged
         if a_spills:
             c["policy.spills"] += a_spills
         if a_inplace:
             c["policy.inplace_words"] += a_inplace
-        if a_reg_req:
-            c["region.requests"] += a_reg_req
-        if a_reg_redo:
-            c["region.entries.redo"] += a_reg_redo
+        _flush_region(c, region, tid, a_reg_req, "redo", a_reg_redo)
         if a_run_records:
             c["region.run_records"] += a_run_records
             c["region.run_words"] += a_run_words
-        if logged_any:
-            # The exact engine leaves the logging thread's record table
-            # present but empty after commit truncation.
-            records.setdefault(tid, {})
 
-    return step, flush
+    evict = _make_posted_evict(posted_submit, in_tx_all, scheme._tx_lines)
+    return _Ops(store, commit, evict, flush, begin)
+
+
+# ----------------------------------------------------------------------
+# Dispatch
+# ----------------------------------------------------------------------
+class _Kernel(NamedTuple):
+    """One fused design.
+
+    ``make(exact, idx, core, cpre, pre)`` builds a core's :class:`_Ops`
+    (or returns a fallback reason).  The closures replicate ``ref``'s
+    behaviour: a scheme class runs them only while every hook and
+    helper named in ``inlines`` is ``ref``'s own, since an override
+    would change what the replica must do.  ``fuse_k5``: the kernel
+    also takes kind-5 stores.  ``finalize``: the run ends with
+    :func:`_fused_finalize` in place of the scheme's flushes.
+    """
+
+    ref: type
+    inlines: Tuple[str, ...]
+    make: Callable
+    fuse_k5: bool = False
+    finalize: bool = False
+
+
+#: The transaction-lifecycle hooks every kernel replicates.
+_LIFECYCLE = ("on_tx_begin", "on_store", "on_evictions", "on_tx_end")
+
+#: Fused kernel per :attr:`DesignSpec.columnar_profile`.
+_KERNELS = {
+    "wal_base": _Kernel(
+        BaseScheme, _LIFECYCLE, partial(_wal_kernel, is_fwb=False), fuse_k5=True
+    ),
+    "wal_fwb": _Kernel(
+        FWBScheme,
+        _LIFECYCLE + ("finalize", "_flush_core_lines"),
+        partial(_wal_kernel, is_fwb=True),
+        fuse_k5=True,
+        finalize=True,
+    ),
+    "silo": _Kernel(SiloScheme, _LIFECYCLE + ("_handle_overflow",), _silo_kernel),
+    "morlog": _Kernel(
+        MorLogScheme,
+        _LIFECYCLE + ("_flush_oldest", "_persist_entries", "finalize"),
+        _morlog_kernel,
+        finalize=True,
+    ),
+    "lad": _Kernel(LADScheme, _LIFECYCLE, _lad_kernel),
+    "swlog": _Kernel(SoftwareLogScheme, _LIFECYCLE, _swlog_kernel),
+    "wrap": _Kernel(WrAPScheme, _LIFECYCLE, _wrap_kernel),
+    "policy": _Kernel(
+        PolicyScheme, _LIFECYCLE + ("_spill", "_flush_entries"), _policy_kernel
+    ),
+}
+
+
+def _kernel_for(scheme):
+    """The :class:`_Kernel` of ``scheme``, or the core fallback reason.
+
+    Dispatch is on the columnar profile of the class's *own* spec
+    (``__dict__`` lookup): a subclass that merely inherits a fused
+    design's spec has unknown hot-path behaviour.  The class must then
+    be the kernel's reference class, or a subclass that overrides none
+    of what the kernel inlines.
+    """
+    stype = type(scheme)
+    spec = stype.__dict__.get("spec")
+    kernel = _KERNELS.get(spec.columnar_profile if spec is not None else None)
+    if kernel is not None:
+        ref = kernel.ref
+        if issubclass(stype, ref) and all(
+            getattr(stype, name) is getattr(ref, name) for name in kernel.inlines
+        ):
+            return kernel
+    if kernel is not None or isinstance(scheme, PolicyScheme):
+        # A fused design whose class changed an inlined hook, or a
+        # policy spec without a fused profile: attribute the fallback
+        # to the catalog entry, not the shared class.
+        return "unfused_design:" + scheme.name
+    return "unfused_scheme:" + stype.__name__
 
 
 def _fused_finalize(exact):
@@ -2656,11 +2477,15 @@ class ColumnarEngine:
         self.system.install_image(self.trace.initial_image)
         cores = exact._cores
         pre = _trace_pre(self.trace, cores)
+        kernel = _kernel_for(self.scheme)
         steppers = []
         flushes = []
         tags = []
         for idx, c in enumerate(cores):
-            made = _make_stepper(exact, idx, c, pre.cores[idx], pre)
+            if isinstance(kernel, str):
+                made = kernel
+            else:
+                made = _make_stepper(exact, idx, c, pre.cores[idx], pre, kernel)
             if isinstance(made, str):
                 # No fused kernel: every op of the core runs through
                 # the exact engine, attributed to this tag.
@@ -2735,8 +2560,7 @@ class ColumnarEngine:
 
         for flush in flushes:
             flush()
-        stype = type(self.scheme)
-        if stype is MorLogScheme or stype is FWBScheme:
+        if not isinstance(kernel, str) and kernel.finalize:
             _fused_finalize(exact)
         exact._global_op += total
         self.exact_ops = n_exact

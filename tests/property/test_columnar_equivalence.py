@@ -20,8 +20,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import SystemConfig
+from repro.core.silo import SiloScheme
+from repro.designs.base import BaseScheme
 from repro.designs.catalog import Quadra1FScheme
+from repro.designs.fwb import FWBScheme
+from repro.designs.lad import LADScheme
+from repro.designs.morlog import MorLogScheme
 from repro.designs.scheme import SchemeRegistry
+from repro.designs.swlog import SoftwareLogScheme
+from repro.designs.wrap import WrAPScheme
 from repro.harness.fingerprints import CRASH_FRACTIONS, WORKLOADS
 from repro.sim.columnar import ColumnarEngine
 from repro.sim.crash import CrashPlan
@@ -29,6 +36,7 @@ from repro.sim.engine import TransactionEngine
 from repro.sim.system import System
 from repro.trace.synthetic import SyntheticTraceConfig, synthetic_trace
 from repro.trace.trace import ThreadTrace, Trace, Transaction
+from repro.workloads.registry import build_workload
 
 ALL_SCHEMES = tuple(sorted(SchemeRegistry.names()))
 
@@ -339,3 +347,194 @@ class TestPolicyKernel:
             errors.append(str(err.value))
         assert errors[0] == errors[1]
         assert engine.fallback_reasons == {"op:addr48": 1}
+
+
+#: The scheme classes behind the seven fused legacy profiles.
+LEGACY_KERNEL_CLASSES = (
+    BaseScheme,
+    FWBScheme,
+    SiloScheme,
+    MorLogScheme,
+    LADScheme,
+    SoftwareLogScheme,
+    WrAPScheme,
+)
+
+
+def _slower(parent, hook):
+    """A subclass of ``parent`` with its own spec whose ``hook`` costs
+    10,000 more cycles (enough to outlast the end-of-run drain): the
+    fused kernel cannot know about the change."""
+    name = f"{parent.name}-slow-{hook}"
+    inherited = getattr(parent, hook)
+
+    def slow(self, *args):
+        return inherited(self, *args) + 10_000
+
+    return type(
+        f"Slow{parent.__name__}",
+        (parent,),
+        {"name": name, "spec": replace(parent.spec, name=name), hook: slow},
+    )
+
+
+def _inherited_spec(parent):
+    return type(
+        f"Inherited{parent.__name__}", (parent,), {"name": parent.name + "-inh"}
+    )
+
+
+def _both_engines(make_scheme, trace, cores=2, prepare=None, config=None):
+    """Run ``trace`` on both engines; returns ``(exact, columnar,
+    engine_stats)`` after asserting bit-identity."""
+    results = []
+    for engine_cls in (TransactionEngine, ColumnarEngine):
+        system = System(config or SystemConfig.table2(cores))
+        if prepare is not None:
+            prepare(system)
+        engine = engine_cls(system, make_scheme(system), trace)
+        results.append((engine, engine.run()))
+    (_, exact), (engine, columnar) = results
+    assert exact.end_cycle == columnar.end_cycle
+    assert exact.committed == columnar.committed
+    assert exact.tx_log_counts == columnar.tx_log_counts
+    assert dict(exact.stats.counters) == dict(columnar.stats.counters)
+    return exact, columnar, engine.engine_stats()
+
+
+class TestCoreFallbackTags:
+    """Every ``core:<why>`` tag a whole core can fall back under is
+    pinned: the tag is part of ``engine_stats()``, and the fallen-back
+    run must still be bit-identical to the exact engine."""
+
+    @pytest.mark.parametrize("hook", ["on_store", "on_tx_end"])
+    @pytest.mark.parametrize(
+        "parent", LEGACY_KERNEL_CLASSES, ids=lambda c: c.name
+    )
+    def test_hook_override_falls_back(self, parent, hook):
+        """A subclass with its own spec keeps its parent's columnar
+        profile, but overrides a hook the parent's kernel inlines: it
+        must run on the exact engine, attributed to the design."""
+        scheme_cls = _slower(parent, hook)
+        trace = build_workload("hash", threads=2, transactions=6)
+        exact, _, stats = _both_engines(scheme_cls, trace)
+        system = System(SystemConfig.table2(2))
+        plain = TransactionEngine(system, parent(system), trace).run()
+        assert exact.end_cycle > plain.end_cycle  # the override counts
+        assert stats["fast_fraction"] == 0.0
+        assert set(stats["fallback_reasons"]) == {
+            f"core:unfused_design:{scheme_cls.name}"
+        }
+
+    @pytest.mark.parametrize(
+        "parent", LEGACY_KERNEL_CLASSES, ids=lambda c: c.name
+    )
+    def test_inherited_spec_falls_back(self, parent):
+        scheme_cls = _inherited_spec(parent)
+        trace = build_workload("hash", threads=2, transactions=6)
+        _, _, stats = _both_engines(scheme_cls, trace)
+        assert stats["fast_fraction"] == 0.0
+        assert set(stats["fallback_reasons"]) == {
+            f"core:unfused_scheme:{scheme_cls.__name__}"
+        }
+
+    def test_silo_ablation(self):
+        trace = build_workload("hash", threads=2, transactions=6)
+        _, _, stats = _both_engines(
+            lambda system: SiloScheme(system, merging=False), trace
+        )
+        assert stats["fast_fraction"] == 0.0
+        assert set(stats["fallback_reasons"]) == {"core:silo_ablation"}
+
+    def test_log_cursor_in_use(self):
+        """Base's static log layout needs a virgin log area: a thread
+        whose cursor has already moved runs on the exact engine; the
+        other core stays fused."""
+
+        def used_log(system):
+            system.region.persist_commit_tuple(0, 1)
+
+        trace = build_workload("hash", threads=2, transactions=6)
+        _, _, stats = _both_engines(
+            lambda system: BaseScheme(system), trace, prepare=used_log
+        )
+        assert stats["fused_cores"] == 1
+        assert 0.0 < stats["fast_fraction"] < 1.0
+        assert set(stats["fallback_reasons"]) == {"core:log_cursor_in_use"}
+
+    @pytest.mark.parametrize(
+        "design, tag",
+        [
+            ("redu", "core:unfused_scheme:ReDUScheme"),
+            ("proteus", "core:unfused_scheme:ProteusScheme"),
+        ],
+    )
+    def test_unfused_designs(self, design, tag):
+        trace = build_workload("hash", threads=2, transactions=6)
+        _, _, stats = _both_engines(
+            lambda system: SchemeRegistry.create(design, system), trace
+        )
+        assert stats["fast_fraction"] == 0.0
+        assert set(stats["fallback_reasons"]) == {tag}
+
+
+class TestWalKernel:
+    @pytest.mark.parametrize("design", ["base", "fwb"])
+    def test_fuses_addr48_stores(self, design):
+        """The WAL kernel's log layout is static for stores beyond the
+        48-bit field too, so it fuses them (every other kernel hands
+        them back): a trace placed wholly above the log area runs at
+        fast_fraction 1.0, bit-identical."""
+        rng = random.Random(3)
+        threads = []
+        for tid in range(2):
+            transactions = []
+            for t in range(3):
+                tx = Transaction()
+                for _ in range(4):
+                    tx.store(
+                        0x4_0000_0000 + 8 * rng.randrange(64),
+                        rng.randrange(1, 1 << 32),
+                    )
+                if t == 1:
+                    tx.store(_BIG_ADDR + 8 * tid, 0x1234)
+                    tx.store(_BIG_ADDR + 8 * tid, 0x5678)
+                transactions.append(tx)
+            threads.append(ThreadTrace(tid, transactions))
+        trace = Trace(threads, initial_image={}, name="wal-addr48")
+        _, _, stats = _both_engines(
+            lambda system: SchemeRegistry.create(design, system), trace
+        )
+        assert stats["fast_fraction"] == 1.0
+        assert stats["fallback_reasons"] == {}
+
+
+@pytest.mark.parametrize("line_size", [32, 128])
+@pytest.mark.parametrize("design", ALL_SCHEMES)
+def test_non_default_line_size(design, line_size):
+    """Cache lines other than 64 bytes: silo's log-buffer overflow
+    posts its new data per 64-byte line while commit groups by the L1
+    line, and the fused kernel must keep that split."""
+    config = SystemConfig.table2(2)
+    config = replace(
+        config,
+        l1=replace(config.l1, line_size=line_size),
+        l2=replace(config.l2, line_size=line_size),
+        l3=replace(config.l3, line_size=line_size),
+    )
+    trace = synthetic_trace(
+        SyntheticTraceConfig(
+            threads=2,
+            transactions_per_thread=6,
+            write_set_words=60,
+            rewrite_fraction=0.1,
+            silent_fraction=0.0,
+            arena_words=4096,
+            seed=4,
+        )
+    )
+    _both_engines(
+        lambda system: SchemeRegistry.create(design, system),
+        trace,
+        config=config,
+    )

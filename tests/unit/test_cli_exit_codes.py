@@ -230,6 +230,25 @@ class TestUsageErrors:
         )
         assert "positive integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["exp", "run", "fig15", "--set", "latencies=-5"], "non-negative"),
+            (["mcsweep", "--set", "channels=0"], "memory channel"),
+            (["recovery_cost", "--set", "crash_fraction=2.5"], "[0, 1]"),
+            (["recovery_cost", "--set", "crash_fraction=-0.1"], "[0, 1]"),
+        ],
+    )
+    def test_exp_run_out_of_range_set(self, capsys, argv, message):
+        """Non-count parameters are range-checked at lowering: exit 2
+        with one line on stderr, before any cell runs."""
+        argv = argv + ["--smoke", "--no-cache", "--jobs", "1"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
     def test_exp_run_missing_normalization_baseline(self, capsys):
         argv = ["exp", "run", "fig11", "--smoke", "--no-cache", "--jobs", "1"]
         assert main(argv + ["--set", "schemes=silo"]) == EXIT_USAGE

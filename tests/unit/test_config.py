@@ -78,6 +78,15 @@ class TestLogBufferConfig:
         with pytest.raises(ConfigError):
             LogBufferConfig(entries=0)
 
+    def test_rejects_negative_access_latency(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            LogBufferConfig(access_latency_cycles=-5)
+        with pytest.raises(ConfigError):
+            SystemConfig.table2().with_log_buffer(access_latency_cycles=-1)
+
+    def test_zero_access_latency_is_allowed(self):
+        assert LogBufferConfig(access_latency_cycles=0).access_latency_cycles == 0
+
 
 class TestSystemConfig:
     def test_table2_defaults(self):
@@ -118,6 +127,11 @@ class TestSystemConfig:
     def test_rejects_zero_frequency(self):
         with pytest.raises(ConfigError):
             SystemConfig(freq_ghz=0)
+
+    @pytest.mark.parametrize("channels", [0, -2])
+    def test_rejects_fewer_than_one_memory_channel(self, channels):
+        with pytest.raises(ConfigError, match="memory channel"):
+            SystemConfig(memory_channels=channels)
 
     def test_recored_table2(self):
         assert SystemConfig.table2(cores=3).cores == 3
